@@ -81,10 +81,10 @@ class CacheManager:
         )
         if self.memo is not None:
             adapter.registry.memo = self.memo
-        # UDF version bumps invalidate dependent memo entries eagerly
-        # (result/plan entries rotate by key, but memo entries for the
-        # old version would otherwise linger until evicted).
-        adapter.registry.add_version_listener(self._on_udf_version)
+            # UDF version bumps invalidate dependent memo entries eagerly
+            # (result/plan entries rotate by key, but memo entries for
+            # the old version would otherwise linger until evicted).
+            adapter.registry.add_version_listener(self._on_udf_version)
 
     # ------------------------------------------------------------------
     # Activity / lifecycle
@@ -100,8 +100,18 @@ class CacheManager:
         )
 
     def _on_udf_version(self, name: str, version: int) -> None:
-        if self.memo is not None:
-            self.memo.invalidate_udf(name)
+        self.memo.invalidate_udf(name)
+
+    def close(self) -> None:
+        """Detach from the adapter's registry: unsubscribe the version
+        listener and take the memo tier back out, unless a later client
+        has attached its own since."""
+        if self.memo is None:
+            return
+        registry = self.adapter.registry
+        registry.remove_version_listener(self._on_udf_version)
+        if registry.memo is self.memo:
+            registry.memo = None
 
     def clear(self) -> None:
         for tier in (self.plan, self.memo, self.results):

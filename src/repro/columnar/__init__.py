@@ -9,9 +9,9 @@ Four pieces, one policy object:
 - :mod:`~repro.columnar.transport` — strict typed-frame packing so UDF
   batches ship to the worker pool as raw buffers (pickle protocol-5
   out-of-band or shared memory) instead of object-list pickles.
-- :mod:`~repro.columnar.morsel` / :mod:`~repro.columnar.executor` —
-  morsel-driven parallel execution with work stealing, per-morsel
-  governance checkpoints, and deopt-to-serial fallback.
+- :mod:`~repro.columnar.morsel` — the morsel grid the vector executor
+  shards row-parallel operators over, with per-morsel governance
+  checkpoints and deopt-to-serial fallback.
 
 Everything is **off by default**: the classic paths (and their exact
 boundary-crossing counts, which the Figure 6c reproduction asserts on)
@@ -34,7 +34,7 @@ __all__ = [
 
 #: Default morsel: 4096 rows — big enough to amortize per-morsel
 #: scheduling/span overhead, small enough that governance checkpoints
-#: and work stealing stay responsive.
+#: stay responsive.
 DEFAULT_MORSEL_SIZE = 4096
 
 
@@ -44,7 +44,7 @@ class ColumnarPolicy:
 
     Shared between the executor (morsel sharding), the UDF registry
     (kernel dispatch), and the transport layer (buffer shipping); the
-    scheduler hanging off it owns the morsel thread pool.
+    scheduler hanging off it mirrors ``threads`` / ``morsel_size``.
     """
 
     enabled: bool = True
@@ -75,14 +75,7 @@ class ColumnarPolicy:
             self.scheduler.morsel_size = self.morsel_size
         if threads is not None:
             self.threads = max(1, int(threads))
-            if self.threads != self.scheduler.threads:
-                self.scheduler.shutdown()
-                self.scheduler = MorselScheduler(
-                    threads=self.threads, morsel_size=self.morsel_size
-                )
+            self.scheduler.threads = self.threads
         if buffer_transport is not None:
             self.buffer_transport = bool(buffer_transport)
         return self
-
-    def close(self) -> None:
-        self.scheduler.shutdown()

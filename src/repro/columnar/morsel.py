@@ -1,12 +1,12 @@
-"""Morsel-driven parallel execution over the columnar plane.
+"""Morsel sharding of row-parallel operators.
 
 A *morsel* is one fixed-size range of rows — the scheduling quantum of
-the columnar executor.  :class:`MorselScheduler` shards a row range into
-morsels, distributes them round-robin across per-worker deques on the
-thread executor, and lets idle workers **steal from the richest deque**
-(classic morsel-driven parallelism: static distribution for locality,
-stealing for balance — the GIL limits the speedup, but numpy kernels and
-UDF bodies that release it still overlap).
+the vectorized executor.  :class:`MorselScheduler` owns the morsel grid
+and runs a function over it: a plain loop at one thread, otherwise
+:func:`~repro.engine.parallel.parallel_map` (the engine's only thread
+fan-out).  The GIL caps what threads buy — the paper reports ~45 % at
+12 threads, and this reproduction measures ~1.0× — so the scheduler
+carries no pool, queues, or balancing of its own.
 
 Every morsel runs under the submitting query's adopted governance,
 resilience, and tracing contexts and passes a cooperative
@@ -27,15 +27,13 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
+from ..engine.parallel import parallel_map
 from ..errors import QueryInterrupt
 from ..obs import METRICS, OBS
 from ..obs import tracer as obs_tracer
-from ..resilience.governor import checkpoint, spawn_shield
-from ..engine.parallel import adopting
+from ..resilience.governor import checkpoint
 
 __all__ = ["MorselScheduler"]
 
@@ -44,80 +42,16 @@ MorselFn = Callable[[int, int], Any]
 
 
 class MorselScheduler:
-    """Shards row ranges into morsels and runs them with work stealing."""
+    """Shards row ranges into morsels and maps a function over them."""
 
     def __init__(self, threads: int = 1, morsel_size: int = 4096):
         self.threads = max(1, int(threads))
         self.morsel_size = max(1, int(morsel_size))
-        self._pool: Optional[ThreadPoolExecutor] = None
+        # Lifetime telemetry.  Counted per stage on the submitting
+        # thread, under a lock: concurrent queries share one scheduler.
         self._lock = threading.Lock()
-        # Lifetime telemetry (also exported through repro.obs metrics).
         self.morsels_run = 0
-        self.steals = 0
         self.deopts = 0
-        if self.threads > 1:
-            # Spawn worker threads NOW, while construction is outside
-            # any governed query (see _prestart for why lazily starting
-            # them from a governed thread can deadlock).
-            self._executor()
-
-    # -- lifecycle ------------------------------------------------------
-
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            with self._lock:
-                if self._pool is None:
-                    pool = ThreadPoolExecutor(
-                        max_workers=self.threads,
-                        thread_name_prefix="repro-morsel",
-                    )
-                    if self.threads > 1:
-                        self._prestart(pool)
-                    self._pool = pool
-        return self._pool
-
-    def _prestart(self, pool: ThreadPoolExecutor) -> None:
-        """Start every pool thread from a short-lived helper thread.
-
-        CPython preallocates a child thread's state stamped with the
-        *spawning* thread's id; until the child rebinds it, the
-        governor's ``PyThreadState_SetAsyncExc`` aimed at the spawner
-        matches the half-born child first and kills it before
-        ``Thread.start`` sees ``_started`` — deadlocking the spawner
-        forever.  Starting all workers up front from a helper thread
-        the watchdog never targets closes that window; governed query
-        threads then never call ``Thread.start`` themselves.
-        """
-        barrier = threading.Barrier(self.threads + 1)
-
-        def hold() -> None:
-            # Keep each fresh worker busy so every submit is forced to
-            # spawn a new thread instead of reusing an idle one.
-            try:
-                barrier.wait(timeout=10.0)
-            except threading.BrokenBarrierError:  # pragma: no cover
-                pass
-
-        def spawn() -> None:
-            for _ in range(self.threads):
-                pool.submit(hold)
-            hold()
-
-        starter = threading.Thread(
-            target=spawn, name="repro-morsel-prestart", daemon=True
-        )
-        with spawn_shield():
-            # Even starting the helper is one Thread.start from a
-            # possibly-governed thread; shield that single handshake.
-            starter.start()
-        starter.join()
-
-    def shutdown(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    # -- execution ------------------------------------------------------
 
     def morsels(self, size: int) -> List[Tuple[int, int]]:
         """The morsel grid over ``[0, size)``."""
@@ -133,99 +67,41 @@ class MorselScheduler:
         """Run ``fn`` over every morsel of ``[0, size)``; ordered results.
 
         Serial when one thread (or one morsel) suffices; otherwise
-        work-stealing parallel with deopt-to-serial on failure.
+        thread-parallel with deopt-to-serial on failure.
         """
         grid = self.morsels(size)
-        if not grid:
-            return []
+
+        def run(bounds: Tuple[int, int]) -> Any:
+            return self._run_one(fn, *bounds, stage)
+
+        self._count(len(grid))
         if self.threads <= 1 or len(grid) <= 1:
-            return self._run_serial(grid, fn, stage)
+            return [run(bounds) for bounds in grid]
         try:
-            return self._run_parallel(grid, fn, stage)
+            return parallel_map(run, grid, self.threads)
         except QueryInterrupt:
             raise
         except Exception:
-            self.deopts += 1
+            self._count(len(grid), deopts=1)
             if OBS.metrics:
                 METRICS.counter(
                     "repro_morsel_deopt_total", stage=stage
                 ).inc()
-            return self._run_serial(grid, fn, stage)
+            return [run(bounds) for bounds in grid]
 
-    def _run_serial(self, grid: List[Tuple[int, int]], fn: MorselFn,
-                    stage: str) -> List[Any]:
-        out = []
-        for start, stop in grid:
-            checkpoint()
-            out.append(self._run_one(fn, start, stop, stage, worker=-1))
-        return out
+    def _count(self, morsels: int, deopts: int = 0) -> None:
+        with self._lock:
+            self.morsels_run += morsels
+            self.deopts += deopts
 
-    def _run_parallel(self, grid: List[Tuple[int, int]], fn: MorselFn,
-                      stage: str) -> List[Any]:
-        workers = min(self.threads, len(grid))
-        # Round-robin static distribution: worker w owns morsels w,
-        # w+N, w+2N, ... — contiguous-ish ranges for cache locality.
-        queues = [
-            deque(
-                (idx, grid[idx]) for idx in range(w, len(grid), workers)
-            )
-            for w in range(workers)
-        ]
-        results: List[Any] = [None] * len(grid)
-        errors: List[BaseException] = []
-        steal_lock = threading.Lock()
-        cancelled = threading.Event()
-
-        def next_morsel(mine: deque):
-            with steal_lock:
-                if mine:
-                    return mine.popleft(), False
-                richest = max(queues, key=len)
-                if richest:
-                    return richest.pop(), True
-            return None, False
-
-        def drain(worker_id: int) -> None:
-            mine = queues[worker_id]
-            while not cancelled.is_set():
-                item, stolen = next_morsel(mine)
-                if item is None:
-                    return
-                if stolen:
-                    self.steals += 1
-                    if OBS.metrics:
-                        METRICS.counter(
-                            "repro_morsel_steals_total", stage=stage
-                        ).inc()
-                idx, (start, stop) = item
-                try:
-                    checkpoint()
-                    results[idx] = self._run_one(
-                        fn, start, stop, stage, worker=worker_id
-                    )
-                except BaseException as exc:
-                    errors.append(exc)
-                    cancelled.set()
-                    return
-
-        runner = adopting(drain)
-        pool = self._executor()
-        futures = [pool.submit(runner, w) for w in range(workers)]
-        for future in futures:
-            future.result()
-        if errors:
-            interrupts = [e for e in errors if isinstance(e, QueryInterrupt)]
-            raise (interrupts[0] if interrupts else errors[0])
-        return results
-
-    def _run_one(self, fn: MorselFn, start: int, stop: int, stage: str,
-                 worker: int) -> Any:
-        self.morsels_run += 1
+    def _run_one(self, fn: MorselFn, start: int, stop: int,
+                 stage: str) -> Any:
+        checkpoint()
         if not (OBS.metrics or OBS.tracing):
             return fn(start, stop)
         sp = (
             obs_tracer.span_start(f"morsel:{stage}", "morsel",
-                                  rows=stop - start, worker=worker)
+                                  rows=stop - start)
             if OBS.tracing else None
         )
         t0 = time.perf_counter()
@@ -249,6 +125,5 @@ class MorselScheduler:
             "threads": self.threads,
             "morsel_size": self.morsel_size,
             "morsels_run": self.morsels_run,
-            "steals": self.steals,
             "deopts": self.deopts,
         }

@@ -86,21 +86,6 @@ class QFusorConfig:
     #: Pool-enforced per-batch wall-clock cap (s) independent of query
     #: governance.  None: leave pool setting.
     worker_batch_timeout_s: Optional[float] = None
-    # -- columnar data plane (typed buffers + morsel parallelism) -------
-    #: Master switch for the typed-buffer data plane (batch kernels and
-    #: morsel-sharded operators).  None: leave the adapter's setting
-    #: (enabled via ``adapter.enable_columnar()`` or constructor knobs);
-    #: True attaches/enables a policy; False disables an attached one.
-    morsel_enabled: Optional[bool] = None
-    #: Rows per morsel (scheduler shard + kernel governance chunk).
-    #: None: leave the policy's current value.
-    morsel_size: Optional[int] = None
-    #: Morsel worker threads (1 = serial sharding, no thread pool).
-    #: None: leave the policy's current value.
-    morsel_threads: Optional[int] = None
-    #: Ship UDF batches to workers/channel as typed out-of-band buffers
-    #: instead of object-list pickling.  None: leave current setting.
-    buffer_transport: Optional[bool] = None
     # -- query lifecycle governance ------------------------------------
     #: Whole-query wall-clock deadline (s); None disables (legacy).
     query_timeout_s: Optional[float] = None

@@ -29,8 +29,9 @@ from ..cache.plan_cache import PlanEntry
 from ..engine.database import Database
 from ..engine.explain import explain_text
 from ..engine.plan import Field
-from ..engine.planner import PlannedQuery
-from ..errors import CircuitOpenError, QueryTimeoutError, ReproError
+from ..errors import (
+    CircuitOpenError, QueryTimeoutError, ReproError, UdfRegistrationError,
+)
 from ..jit.cache import TraceCache
 from ..jit.codegen import FusedUdf
 from ..obs import METRICS, OBS
@@ -170,10 +171,6 @@ class QFusor:
                 memory_limit_mb=self.config.worker_memory_limit_mb,
                 batch_timeout_s=self.config.worker_batch_timeout_s,
             )
-        # Propagate columnar-plane knobs (typed buffers, morsel
-        # parallelism, buffer transport).  All default to None so a plain
-        # QFusorConfig never flips an adapter on or off the data plane.
-        self._configure_columnar(engine)
         self.fuser = PlanFuser(
             engine.registry, engine.resolver, self.cost_model,
             self.heuristics, self.config, self.cache,
@@ -221,39 +218,29 @@ class QFusor:
                 self_check=self.config.translate_self_check,
             )
 
-    def _configure_columnar(self, engine) -> None:
-        """Apply the config's columnar-plane knobs to the adapter.
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
 
-        ``morsel_enabled=True`` attaches (and enables) a policy on
-        adapters that support one; ``False`` disables an attached policy;
-        ``None`` leaves the adapter exactly as constructed.  Size/thread/
-        transport knobs apply to whichever policy is (or becomes) live.
+    def close(self) -> None:
+        """Take this client back out of the adapter's registry: the
+        caches' version listener and memo tier, and the fused UDFs it
+        registered.  The adapter stays open (its owner closes it), so
+        throw-away clients on a long-lived adapter leave nothing behind.
         """
-        cfg = self.config
-        knobs = (cfg.morsel_enabled, cfg.morsel_size, cfg.morsel_threads,
-                 cfg.buffer_transport)
-        if all(k is None for k in knobs):
-            return
-        enable = getattr(engine, "enable_columnar", None)
-        if enable is None:
-            return
-        if cfg.morsel_enabled is False:
-            disable = getattr(engine, "disable_columnar", None)
-            if disable is not None and getattr(engine, "columnar", None) \
-                    is not None:
-                disable()
-            return
-        policy = getattr(engine, "columnar", None)
-        if policy is None and cfg.morsel_enabled is not True:
-            # Only size/thread/transport knobs set but no plane attached:
-            # nothing to configure without flipping the adapter's mode.
-            return
-        enable(
-            enabled=cfg.morsel_enabled,
-            morsel_size=cfg.morsel_size,
-            threads=cfg.morsel_threads,
-            buffer_transport=cfg.buffer_transport,
-        )
+        self.caches.close()
+        registered, self.fuser.registered = self.fuser.registered, []
+        for name in registered:
+            try:
+                self.adapter.registry.drop(name)
+            except UdfRegistrationError:
+                pass  # a de-optimization already dropped it
+
+    def __enter__(self) -> "QFusor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Per-query report state
@@ -455,7 +442,11 @@ class QFusor:
         report.rewritten_sql = to_sql(rewritten)
         if sp is not None:
             obs_tracer.span_end(sp, fused=len(report.fused))
-        return self._dispatch_sql(statement, rewritten, report)
+        return self._dispatch_guarded(
+            report,
+            lambda: self.adapter.execute_sql(rewritten),
+            lambda: self.adapter.execute_sql(statement),
+        )
 
     def _admit_breakers(
         self, statement: ast.Statement, report: QFusorReport
@@ -554,7 +545,11 @@ class QFusor:
                     ),
                     report,
                 )
-            return self._dispatch_sql(statement, rewritten, report)
+            return self._dispatch_guarded(
+                report,
+                lambda: self.adapter.execute_sql(rewritten),
+                lambda: self.adapter.execute_sql(statement),
+            )
 
         # EXPLAIN probe: get the engine's optimized plan.
         sp = obs_tracer.span_start("plan") if OBS.tracing else None
@@ -601,7 +596,11 @@ class QFusor:
             )
 
         # Step 4: dispatch the rewritten plan (path 2), guarded.
-        return self._dispatch_plan(planned, outcome, report)
+        return self._dispatch_guarded(
+            report,
+            lambda: self.adapter.execute_plan(outcome.planned),
+            lambda: self.adapter.execute_plan(planned),
+        )
 
     def _dispatch_cached_plan(
         self,
@@ -629,13 +628,19 @@ class QFusor:
             )
         if entry.kind == "sql":
             report.rewritten_sql = to_sql(entry.rewritten)
-            return self._dispatch_sql(statement, entry.rewritten, report)
+            return self._dispatch_guarded(
+                report,
+                lambda: self.adapter.execute_sql(entry.rewritten),
+                lambda: self.adapter.execute_sql(statement),
+            )
         report.sections = list(entry.sections)
         report.plan_before = entry.plan_before
         report.plan_after = entry.plan_after
-        outcome = FusionOutcome(entry.fused_planned)
-        outcome.fused = list(entry.fused)
-        return self._dispatch_plan(entry.original, outcome, report)
+        return self._dispatch_guarded(
+            report,
+            lambda: self.adapter.execute_plan(entry.fused_planned),
+            lambda: self.adapter.execute_plan(entry.original),
+        )
 
     # ------------------------------------------------------------------
     # Froid-style UDF-to-SQL translation (ahead of fusion)
@@ -773,70 +778,29 @@ class QFusor:
     # Guarded dispatch + de-optimization
     # ------------------------------------------------------------------
 
-    def _dispatch_plan(
-        self,
-        original: PlannedQuery,
-        outcome: FusionOutcome,
-        report: QFusorReport,
-    ) -> Table:
-        """Execute the fused plan; on a runtime fault, de-optimize and
-        transparently re-execute the original (unfused) plan."""
-        if not outcome.fused:
-            return self.adapter.execute_plan(outcome.planned)
-        context = ResilienceContext(self.config.row_error_policy)
-        try:
-            with activate(context):
-                result = self.adapter.execute_plan(outcome.planned)
-        except QueryTimeoutError as exc:
-            self._finish_guarded(report, context)
-            if not self._timeout_retry_allowed(exc, report):
-                raise
-            self._deoptimize(exc, report.fused_names, report)
-            return self._reexecute(
-                report, lambda: self.adapter.execute_plan(original)
-            )
-        except Exception as exc:
-            self._finish_guarded(report, context)
-            if not self.config.deopt:
-                raise
-            self._deoptimize(exc, report.fused_names, report)
-            # The original plan nodes were never mutated by fusion, so
-            # re-dispatching them runs the pure per-UDF path.
-            return self._reexecute(
-                report, lambda: self.adapter.execute_plan(original)
-            )
-        self._finish_guarded(report, context)
-        return result
-
-    def _dispatch_sql(
-        self,
-        original: ast.Statement,
-        rewritten: ast.Statement,
-        report: QFusorReport,
-    ) -> Table:
-        """Path-1 / DML analogue of :meth:`_dispatch_plan`."""
+    def _dispatch_guarded(self, report: QFusorReport, run_fused,
+                          run_unfused) -> Table:
+        """Run the fused plan or statement; on a runtime fault,
+        de-optimize and transparently re-execute the original (unfused)
+        one.  The two thunks dispatch a plan (path 2) or SQL (path 1 /
+        DML) — the guard is the same."""
         if not report.fused:
-            return self.adapter.execute_sql(rewritten)
+            return run_fused()
         context = ResilienceContext(self.config.row_error_policy)
         try:
             with activate(context):
-                result = self.adapter.execute_sql(rewritten)
-        except QueryTimeoutError as exc:
+                result = run_fused()
+        except (QueryTimeoutError, Exception) as exc:
             self._finish_guarded(report, context)
-            if not self._timeout_retry_allowed(exc, report):
+            if isinstance(exc, QueryTimeoutError):
+                if not self._timeout_retry_allowed(exc, report):
+                    raise
+            elif not self.config.deopt:
                 raise
             self._deoptimize(exc, report.fused_names, report)
-            return self._reexecute(
-                report, lambda: self.adapter.execute_sql(original)
-            )
-        except Exception as exc:
-            self._finish_guarded(report, context)
-            if not self.config.deopt:
-                raise
-            self._deoptimize(exc, report.fused_names, report)
-            return self._reexecute(
-                report, lambda: self.adapter.execute_sql(original)
-            )
+            # The original plan nodes / statement were never mutated by
+            # fusion, so re-dispatching them runs the pure per-UDF path.
+            return self._reexecute(report, run_unfused)
         self._finish_guarded(report, context)
         return result
 
@@ -918,7 +882,7 @@ class QFusor:
                 blocked += 1
             try:
                 self.adapter.registry.drop(name)
-            except Exception:
+            except UdfRegistrationError:
                 pass  # already dropped, or engine-side registration only
         report.deopt_events.append(
             DeoptEvent(

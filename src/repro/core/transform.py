@@ -102,6 +102,9 @@ class PlanFuser:
         #: sqlite3 bridge) substitute their own hook so the generated
         #: CREATE FUNCTION actually runs.
         self.register_hook = lambda definition: registry.register(definition)
+        #: Names of the fused UDFs this fuser put into the registry
+        #: (what its owner drops again on close).
+        self.registered: List[str] = []
         self._name_counter = 0
 
     # ------------------------------------------------------------------
@@ -143,6 +146,7 @@ class PlanFuser:
             outcome.cache_hits += 1
         if self.registry.lookup(fused.definition.name) is None:
             self.register_hook(fused.definition)
+            self.registered.append(fused.definition.name)
         outcome.fused.append(fused)
         return fused.definition.name
 

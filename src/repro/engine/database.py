@@ -68,12 +68,23 @@ class Database:
         self.planner = Planner(self.catalog, self.resolver)
         self.optimizer = NativeOptimizer(self.catalog, self.resolver, optimizer_profile)
         self._temp_tables: List[str] = []
+        self.own_scheduler = None
 
     @property
     def columnar(self):
         """The columnar-plane policy, shared with the UDF registry
         (``None`` = classic paths everywhere)."""
         return self.registry.columnar
+
+    @property
+    def scheduler(self):
+        """Who shards the vector executor's row-parallel operators: the
+        columnar policy's morsel scheduler while the plane is on, else
+        the engine's own (dbX's threaded one; ``None`` = never shard)."""
+        policy = self.columnar
+        if policy is not None and policy.enabled:
+            return policy.scheduler
+        return self.own_scheduler
 
     # ------------------------------------------------------------------
     # Schema / UDF management
@@ -163,17 +174,9 @@ class Database:
 
     def _make_executor(self):
         if self.execution_model == "vector":
-            policy = self.columnar
-            if policy is not None and policy.enabled:
-                from ..columnar.executor import MorselVectorExecutor
-
-                return MorselVectorExecutor(
-                    self.catalog, self.resolver, policy,
-                    scheduler=policy.scheduler,
-                )
             from .executor_vector import VectorExecutor
 
-            return VectorExecutor(self.catalog, self.resolver)
+            return VectorExecutor(self.catalog, self.resolver, self.scheduler)
         from .executor_tuple import TupleExecutor
 
         return TupleExecutor(self.catalog, self.resolver)

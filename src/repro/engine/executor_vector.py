@@ -12,8 +12,11 @@ wraps results into a :class:`~repro.storage.table.Table`.
 
 from __future__ import annotations
 
+import itertools
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from ..obs import METRICS, OBS
 from ..obs import tracer as obs_tracer
 from ..resilience.governor import checkpoint, guarded_iter
 from ..resilience.governor import current as governor_current
+from ..resilience.runtime import FAULTS as _FAULTS
 from ..sql import ast_nodes as ast
 from ..storage.catalog import Catalog
 from ..storage.column import Column
@@ -42,9 +46,20 @@ Relation = Tuple[List[Column], int]
 
 
 class VectorExecutor:
-    def __init__(self, catalog: Catalog, resolver: FunctionResolver):
+    """Operator-at-a-time executor.
+
+    With a ``scheduler`` (a :class:`~repro.columnar.morsel.MorselScheduler`)
+    the row-parallel operators — Filter, FusedFilter, and UDF-bearing
+    Project — run over its morsel grid; operators whose semantics are
+    cross-row (aggregate, join, sort, distinct, set ops, expand) never
+    shard: morselizing them would need a merge phase.
+    """
+
+    def __init__(self, catalog: Catalog, resolver: FunctionResolver,
+                 scheduler=None):
         self.catalog = catalog
         self.resolver = resolver
+        self.scheduler = scheduler
 
     # ------------------------------------------------------------------
     # Entry point
@@ -133,31 +148,105 @@ class VectorExecutor:
     # Operators
     # ------------------------------------------------------------------
 
+    def _shards(self, size: int, calls: Iterable[str],
+                udf_only: bool) -> bool:
+        """Whether a row-parallel operator over ``size`` rows that calls
+        the functions ``calls`` runs morsel by morsel.  ``udf_only``
+        keeps operators that call no scalar UDF whole: slicing pure
+        numpy work into morsels only adds concat work."""
+        scheduler = self.scheduler
+        if scheduler is None or size <= scheduler.morsel_size:
+            return False  # one morsel gains nothing from the machinery
+        if _FAULTS.armed:
+            # Injected faults fire at classic per-row points and may be
+            # once-only: sharding would let the deopt-to-serial re-run
+            # retry a transient fault away (or fire it at a different
+            # row).  Fault semantics require the whole-column path.
+            return False
+        calls_udf = False
+        for name in calls:
+            registered = self.resolver.udf(name)
+            if registered is None:
+                continue
+            calls_udf = calls_udf or registered.kind is UdfKind.SCALAR
+            batch = registered.definition.scalar_batch_func
+            # Fused batch traces are sharded only when codegen stamped
+            # them row-wise pure.
+            if batch is not None and not getattr(batch, "morsel_safe", False):
+                return False
+        return calls_udf or not udf_only
+
+    def _map_rows(self, columns: List[Column], size: int, stage: str, fn,
+                  calls: Iterable[str], udf_only: bool = False) -> List[Any]:
+        """``fn(columns, n)`` over the whole input, or over zero-copy
+        column slices morsel by morsel; per-range results in row order.
+
+        Row budgets are charged once per operator in ``_run``, never per
+        morsel — sharding must not change *when* a budget trips.
+        """
+        if not self._shards(size, calls, udf_only):
+            return [fn(columns, size)]
+
+        def run_morsel(start: int, stop: int):
+            chunk = [col.slice(start, stop) for col in columns]
+            return fn(chunk, stop - start)
+
+        return self.scheduler.map_ranges(size, run_morsel, stage=stage)
+
     def _filter(self, node: Filter, ctes) -> Relation:
         columns, size = self._run(node.child, ctes)
-        evaluator = VectorEvaluator(node.child.schema, self.resolver)
-        mask = evaluator.predicate_mask(node.predicate, columns, size)
-        return [col.filter(mask) for col in columns], int(mask.sum())
+
+        def mask_of(chunk: List[Column], n: int) -> np.ndarray:
+            evaluator = VectorEvaluator(node.child.schema, self.resolver)
+            return evaluator.predicate_mask(node.predicate, chunk, n)
+
+        masks = self._map_rows(
+            columns, size, "filter", mask_of, _calls([node.predicate])
+        )
+        return _keep(columns, masks)
 
     def _fused_filter(self, node: FusedFilter, ctes) -> Relation:
         columns, size = self._run(node.child, ctes)
-        evaluator = VectorEvaluator(node.child.schema, self.resolver)
-        arg_columns = [
-            evaluator.evaluate(expr, columns, size) for expr in node.arg_exprs
-        ]
         registered = self.resolver.udf(node.udf_name)
-        # The fused predicate is a scalar bool UDF (Table 3): one batched
-        # invocation, then the engine applies the mask.
-        predicate = registered.call_scalar(arg_columns, size)
-        mask = np.asarray(predicate.numpy(), dtype=bool) & ~predicate.null_mask()
-        return [col.filter(mask) for col in columns], int(mask.sum())
+
+        def mask_of(chunk: List[Column], n: int) -> np.ndarray:
+            evaluator = VectorEvaluator(node.child.schema, self.resolver)
+            args = [
+                evaluator.evaluate(expr, chunk, n) for expr in node.arg_exprs
+            ]
+            # The fused predicate is a scalar bool UDF (Table 3): one
+            # batched invocation, then the engine applies the mask.
+            predicate = registered.call_scalar(args, n)
+            return (
+                np.asarray(predicate.numpy(), dtype=bool)
+                & ~predicate.null_mask()
+            )
+
+        masks = self._map_rows(
+            columns, size, "fused_filter", mask_of,
+            itertools.chain([node.udf_name], _calls(node.arg_exprs)),
+        )
+        return _keep(columns, masks)
 
     def _project(self, node: Project, ctes) -> Relation:
         columns, size = self._run(node.child, ctes)
-        evaluator = VectorEvaluator(node.child.schema, self.resolver)
+
+        def evaluate(chunk: List[Column], n: int) -> List[Column]:
+            evaluator = VectorEvaluator(node.child.schema, self.resolver)
+            return [
+                evaluator.evaluate(item.expr, chunk, n, item.name)
+                for item in node.items
+            ]
+
+        pieces = self._map_rows(
+            columns, size, "project", evaluate,
+            _calls(item.expr for item in node.items), udf_only=True,
+        )
+        if len(pieces) == 1:
+            return pieces[0], size
         out = [
-            evaluator.evaluate(item.expr, columns, size, item.name)
-            for item in node.items
+            Column.concat(item.name, [piece[i] for piece in pieces])
+            for i, item in enumerate(node.items)
         ]
         return out, size
 
@@ -475,6 +564,20 @@ class VectorExecutor:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
+
+
+def _calls(exprs: Iterable[ast.Expr]) -> Iterator[str]:
+    """Names of the functions ``exprs`` call (lazily: only a sharding
+    decision that got past its cheap checks walks the trees)."""
+    for expr in exprs:
+        for node in ast.walk_expr(expr):
+            if isinstance(node, ast.FunctionCall):
+                yield node.name
+
+
+def _keep(columns: List[Column], masks: List[np.ndarray]) -> Relation:
+    mask = masks[0] if len(masks) == 1 else np.concatenate(masks)
+    return [col.filter(mask) for col in columns], int(mask.sum())
 
 
 def _as_table(

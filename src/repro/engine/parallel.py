@@ -1,10 +1,11 @@
-"""Intra-query thread parallelism.
+"""Intra-query thread parallelism: the engine's one thread fan-out.
 
-Provides morsel-style partitioned execution of row-parallel operators
-(Filter, Project) across a thread pool.  As the paper observes for its
-own system, multithreaded speedups here are limited by Python's GIL and
-are most effective for the vectorized (numpy) relational parts — the
-same shape our Figure 6g reproduction shows.
+:func:`parallel_map` runs a function over row ranges on a short-lived
+thread pool under the submitter's governance, resilience, and tracing
+contexts; :class:`~repro.columnar.morsel.MorselScheduler` maps the
+vector executor's row-parallel operators through it.  As the paper
+observes for its own system, multithreaded speedups here are limited by
+Python's GIL — the same shape our Figure 6g reproduction shows.
 """
 
 from __future__ import annotations
@@ -13,16 +14,10 @@ import contextlib
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Callable, List, Sequence, Tuple
 
-import numpy as np
-
 from ..obs import tracer as obs_tracer
 from ..resilience import governor, runtime
-from ..storage.column import Column
-from .executor_vector import Relation, VectorExecutor
-from .expressions import VectorEvaluator
-from .plan import Filter, Project
 
-__all__ = ["split_ranges", "adopting", "parallel_map", "ParallelVectorExecutor"]
+__all__ = ["split_ranges", "adopting", "parallel_map"]
 
 
 def split_ranges(size: int, parts: int, align: int = 1) -> List[Tuple[int, int]]:
@@ -99,57 +94,3 @@ def parallel_map(fn: Callable, items: Sequence, threads: int) -> List:
         if not future.cancelled() and future.exception() is not None:
             raise future.exception()
     return [future.result() for future in futures if not future.cancelled()]
-
-
-class ParallelVectorExecutor(VectorExecutor):
-    """A vectorized executor that runs Filter and Project over row
-    partitions in a thread pool (the "dbX" strong-parallelism profile)."""
-
-    def __init__(self, catalog, resolver, threads: int = 4):
-        super().__init__(catalog, resolver)
-        self.threads = max(1, threads)
-
-    def _project(self, node: Project, ctes) -> Relation:
-        columns, size = self._run(node.child, ctes)
-        if self.threads <= 1 or size < 2 * self.threads:
-            return self._project_range(node, columns, size)
-        ranges = split_ranges(size, self.threads)
-
-        def run_range(bounds: Tuple[int, int]) -> List[Column]:
-            start, stop = bounds
-            chunk = [col.slice(start, stop) for col in columns]
-            out, _ = self._project_range(node, chunk, stop - start)
-            return out
-
-        results = parallel_map(run_range, ranges, self.threads)
-        merged = [
-            Column.concat(item.name, [chunk[i] for chunk in results])
-            for i, item in enumerate(node.items)
-        ]
-        return merged, size
-
-    def _project_range(self, node: Project, columns, size) -> Relation:
-        evaluator = VectorEvaluator(node.child.schema, self.resolver)
-        out = [
-            evaluator.evaluate(item.expr, columns, size, item.name)
-            for item in node.items
-        ]
-        return out, size
-
-    def _filter(self, node: Filter, ctes) -> Relation:
-        columns, size = self._run(node.child, ctes)
-        if self.threads <= 1 or size < 2 * self.threads:
-            evaluator = VectorEvaluator(node.child.schema, self.resolver)
-            mask = evaluator.predicate_mask(node.predicate, columns, size)
-            return [col.filter(mask) for col in columns], int(mask.sum())
-        ranges = split_ranges(size, self.threads)
-
-        def run_range(bounds: Tuple[int, int]) -> np.ndarray:
-            start, stop = bounds
-            chunk = [col.slice(start, stop) for col in columns]
-            evaluator = VectorEvaluator(node.child.schema, self.resolver)
-            return evaluator.predicate_mask(node.predicate, chunk, stop - start)
-
-        masks = parallel_map(run_range, ranges, self.threads)
-        mask = np.concatenate(masks) if masks else np.zeros(0, dtype=bool)
-        return [col.filter(mask) for col in columns], int(mask.sum())

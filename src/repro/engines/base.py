@@ -124,12 +124,7 @@ class EngineAdapter:
         if policy is None:
             policy = ColumnarPolicy()
             self.registry.columnar = policy
-        if "morsel_threads" in knobs:
-            # Constructor spelling (``morsel_threads=``) accepted here
-            # too, so the two opt-in paths take the same knob names.
-            knobs.setdefault("threads", knobs.pop("morsel_threads"))
         policy.configure(**knobs)
-        self._attach_columnar(policy)
         pool = self.workers
         if pool is not None and hasattr(pool, "configure"):
             pool.configure(buffer_transport=policy.buffer_transport)
@@ -139,14 +134,10 @@ class EngineAdapter:
         return policy
 
     def disable_columnar(self) -> None:
-        """Return to the classic object paths (and release the morsel
-        pool)."""
-        policy = self.columnar
-        if policy is None:
+        """Return to the classic object paths."""
+        if self.columnar is None:
             return
-        policy.close()
         self.registry.columnar = None
-        self._attach_columnar(None)
         pool = self.workers
         if pool is not None and hasattr(pool, "configure"):
             pool.configure(buffer_transport=False)
@@ -154,15 +145,9 @@ class EngineAdapter:
         if channel is not None and hasattr(channel, "configure"):
             channel.configure(buffer_transport=False)
 
-    def _attach_columnar(self, policy) -> None:
-        """Adapter hook: propagate the policy into engine internals."""
-
     def close(self) -> None:
         """Release adapter resources (worker processes, channels, WAL)."""
         self.disable_process_isolation()
-        policy = self.columnar
-        if policy is not None:
-            policy.close()
         if self.durability is not None:
             self.durability.close()
             self.durability = None

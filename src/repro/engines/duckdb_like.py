@@ -32,7 +32,6 @@ class DuckDbLikeAdapter(EngineAdapter):
         stats: Optional[StatsStore] = None,
         columnar: bool = False,
         morsel_size: int = 4096,
-        morsel_threads: int = 1,
     ):
         self.database = Database(
             "duckdb_like",
@@ -43,9 +42,7 @@ class DuckDbLikeAdapter(EngineAdapter):
             stats=stats,
         )
         if columnar:
-            self.enable_columnar(
-                morsel_size=morsel_size, threads=morsel_threads
-            )
+            self.enable_columnar(morsel_size=morsel_size)
 
     @property
     def registry(self):

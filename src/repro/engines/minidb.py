@@ -38,7 +38,6 @@ class MiniDbAdapter(EngineAdapter):
         checkpoint_interval_s: Optional[float] = None,
         columnar: bool = False,
         morsel_size: int = 4096,
-        morsel_threads: int = 1,
     ):
         self.database = database or Database(
             "minidb",
@@ -49,9 +48,7 @@ class MiniDbAdapter(EngineAdapter):
             stats=stats,
         )
         if columnar:
-            self.enable_columnar(
-                morsel_size=morsel_size, threads=morsel_threads
-            )
+            self.enable_columnar(morsel_size=morsel_size)
         if durability_dir is not None:
             # Recovers the directory's state into the catalog/registry
             # before the adapter serves anything, then WAL-logs writes.

@@ -57,7 +57,6 @@ class RowStoreAdapter(EngineAdapter):
         checkpoint_interval_s: Optional[float] = None,
         columnar: bool = False,
         morsel_size: int = 4096,
-        morsel_threads: int = 1,
         buffer_transport: bool = False,
     ):
         if isolation not in ("channel", "process"):
@@ -103,7 +102,6 @@ class RowStoreAdapter(EngineAdapter):
             self.enable_columnar(
                 enabled=columnar,
                 morsel_size=morsel_size,
-                threads=morsel_threads,
                 buffer_transport=buffer_transport,
             )
 

@@ -1,20 +1,20 @@
 """Parallel adapter — the commercial "dbX" profile.
 
-Vectorized execution with thread-parallel relational operators, but no
-UDF JIT and no fusion of its own: UDFs run through the plain wrapper
-path with engine<->UDF context switches, matching the paper's account of
-dbX ("strong parallelism, but its lack of UDF JIT compilation and
-context switches between relational and UDF operators limit
-performance").
+The vector executor with a threaded morsel scheduler, but no columnar
+kernels, no UDF JIT and no fusion of its own: UDFs run through the plain
+wrapper path with engine<->UDF context switches, matching the paper's
+account of dbX ("strong parallelism, but its lack of UDF JIT
+compilation and context switches between relational and UDF operators
+limit performance").
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Union
 
+from ..columnar.morsel import MorselScheduler
 from ..engine.database import Database
 from ..engine.optimizer import OptimizerProfile
-from ..engine.parallel import ParallelVectorExecutor
 from ..engine.planner import PlannedQuery
 from ..sql import ast_nodes as ast
 from ..storage.table import Table
@@ -37,7 +37,6 @@ class ParallelDbAdapter(EngineAdapter):
         columnar: bool = False,
         morsel_size: int = 4096,
     ):
-        self.threads = threads
         self.database = Database(
             "dbx",
             execution_model="vector",
@@ -46,10 +45,17 @@ class ParallelDbAdapter(EngineAdapter):
             ),
             stats=stats,
         )
+        # Threads without the plane: the registry's ``columnar`` stays
+        # ``None``, so UDFs keep their classic per-value crossings.
+        self.database.own_scheduler = MorselScheduler(
+            threads=threads, morsel_size=morsel_size
+        )
         if columnar:
-            # The morsel executor subsumes the per-operator thread fan-out
-            # below: threads become morsel workers with stealing.
             self.enable_columnar(morsel_size=morsel_size, threads=threads)
+
+    @property
+    def threads(self) -> int:
+        return self.database.scheduler.threads
 
     @property
     def registry(self):
@@ -78,24 +84,7 @@ class ParallelDbAdapter(EngineAdapter):
         return self.database.plan(statement)
 
     def _execute_plan(self, planned: PlannedQuery) -> Table:
-        policy = self.columnar
-        if policy is not None and policy.enabled:
-            from ..columnar.executor import MorselVectorExecutor
-
-            executor = MorselVectorExecutor(
-                self.database.catalog, self.database.resolver, policy,
-                scheduler=policy.scheduler,
-            )
-        else:
-            executor = ParallelVectorExecutor(
-                self.database.catalog, self.database.resolver, self.threads
-            )
-        return executor.execute(planned)
+        return self.database._make_executor().execute(planned)
 
     def _execute_sql(self, statement: Union[str, ast.Statement]) -> Table:
-        from ..sql.parser import parse
-
-        stmt = parse(statement) if isinstance(statement, str) else statement
-        if isinstance(stmt, ast.Select):
-            return self._execute_plan(self.database.plan(stmt))
-        return self.database.execute(stmt)
+        return self.database.execute(statement)

@@ -390,7 +390,14 @@ class Watchdog:
         with self._lock:
             self._entries.setdefault(ident, []).append(entry)
             self._ensure_thread_locked()
-        self._wake.set()
+            # Wake the watchdog while still holding ``_lock``: it cannot
+            # fire into this thread until the lock is released.  Outside
+            # it, an async raise for an already-cancelled context can
+            # land inside ``Event.set`` — after its pure-Python
+            # ``Condition.__enter__`` took the event's lock but before
+            # the ``with`` is armed — leaking that lock and wedging
+            # every later ``register`` in the process.
+            self._wake.set()
         return entry
 
     def unregister_context(self, ident: int, context: QueryContext) -> bool:

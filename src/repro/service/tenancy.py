@@ -54,10 +54,6 @@ class TenantQuota:
     deadline_ceiling_s: Optional[float] = None
     #: Hard ceiling on any requested per-query row budget.
     row_budget_ceiling: Optional[int] = None
-    #: Hard ceiling on the tenant's morsel worker threads (columnar
-    #: plane): a tenant cannot fan out wider than its quota even when
-    #: its adapter or config asks for more.  None: no ceiling.
-    morsel_threads: Optional[int] = None
 
     def __post_init__(self):
         if self.weight <= 0:
@@ -103,12 +99,6 @@ class TenantSession:
         #: unreachable across sessions.
         self.config = base.ablated(cache_scope=tenant_id)
         self.qfusor = QFusor(adapter, self.config)
-        # Morsel-thread ceiling: clamp the adapter's columnar policy (if
-        # any) so a tenant's intra-query fan-out stays inside its quota.
-        policy = getattr(adapter, "columnar", None)
-        if policy is not None and quota.morsel_threads is not None \
-                and policy.threads > quota.morsel_threads:
-            policy.configure(threads=quota.morsel_threads)
         self._lock = threading.Lock()
         self.queries = 0
 

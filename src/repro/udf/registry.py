@@ -580,6 +580,17 @@ class UdfRegistry:
         """Subscribe to version bumps: ``callback(name, new_version)``."""
         self._version_listeners.append(callback)
 
+    def remove_version_listener(
+        self, callback: Callable[[str, int], None]
+    ) -> None:
+        """Unsubscribe ``callback`` (no-op when it is not subscribed).
+
+        Copy-on-write, so a version bump iterating the list on another
+        thread finishes over the list it started with."""
+        self._version_listeners = [
+            cb for cb in self._version_listeners if cb != callback
+        ]
+
     def fingerprint_of(self, name: str) -> Optional[str]:
         """The current definition content fingerprint, or None."""
         return self._def_fps.get(name.lower())

@@ -193,3 +193,40 @@ class TestGovernancePolicy:
         qf.execute(QUERY)
         assert qf.last_report.cache_events == []
         assert qf.last_report.cache_outcome("result") is None
+
+
+class TestLifecycle:
+    def test_throwaway_clients_leave_the_adapter_as_they_found_it(self):
+        # A fresh QFusor per pass on one long-lived adapter (the ledger's
+        # short_cold shape) must not pile listeners or fused UDFs onto
+        # the adapter's registry.
+        adapter = MiniDbAdapter()
+        adapter.register_table(_table())
+        adapter.register_udf(cache_double)
+        registry = adapter.registry
+        listeners = len(registry._version_listeners)
+        names = registry.names()
+        fused_query = "SELECT cache_double(cache_double(b)) AS d FROM ct"
+        for _ in range(200):
+            with QFusor(adapter, QFusorConfig.cached()) as qf:
+                rows = list(qf.execute(fused_query).rows())
+                assert qf.last_report.fused
+            assert rows == [(40,), (80,), (120,), (160,)]
+        assert len(registry._version_listeners) == listeners
+        assert registry.names() == names
+        assert registry.memo is None
+
+    def test_close_keeps_a_later_clients_memo_attached(self):
+        adapter = MiniDbAdapter()
+        first = QFusor(adapter, QFusorConfig.cached())
+        second = QFusor(adapter, QFusorConfig.cached())
+        first.close()
+        assert adapter.registry.memo is second.caches.memo
+        second.close()
+        assert adapter.registry.memo is None
+
+    def test_uncached_client_subscribes_nothing(self):
+        adapter = MiniDbAdapter()
+        listeners = len(adapter.registry._version_listeners)
+        QFusor(adapter)
+        assert len(adapter.registry._version_listeners) == listeners

@@ -5,7 +5,7 @@ columnar/morsel plane as on the classic paths, across all three
 deployments and at 1/2/8 morsel threads — and must fail identically
 too: injected UDF faults, cancellations, and deadline storms all have
 to surface the same typed error whether the rows ran serially or
-spread over a work-stealing pool.
+spread over worker threads.
 """
 
 import threading
@@ -84,13 +84,34 @@ class TestQueryParity:
             adapter.close()
 
     def test_morsel_machinery_actually_engaged(self):
-        adapter = MiniDbAdapter(
-            columnar=True, morsel_size=MORSEL_SIZE, morsel_threads=2
-        )
+        adapter = MiniDbAdapter()
+        adapter.enable_columnar(morsel_size=MORSEL_SIZE, threads=2)
         udfbench.setup(adapter, "tiny", seed=11)
         try:
             run_all(adapter)
             assert adapter.columnar.scheduler.stats()["morsels_run"] > 10
+        finally:
+            adapter.close()
+
+
+    def test_disabled_plane_builds_the_plain_executor(self):
+        # Structurally free when off: a never-enabled, a disabled and a
+        # detached plane all give the vector executor no scheduler, so
+        # no operator ever consults a sharding decision.
+        adapter = MiniDbAdapter()
+        try:
+            def scheduler():
+                executor = adapter.database._make_executor()
+                assert type(executor).__name__ == "VectorExecutor"
+                return executor.scheduler
+
+            assert scheduler() is None
+            adapter.enable_columnar(enabled=False)
+            assert scheduler() is None
+            adapter.enable_columnar(enabled=True)
+            assert scheduler() is adapter.columnar.scheduler
+            adapter.disable_columnar()
+            assert scheduler() is None
         finally:
             adapter.close()
 
@@ -108,9 +129,8 @@ class TestFaultParity:
 
         classic = MiniDbAdapter()
         udfbench.setup(classic, "tiny", seed=11)
-        morsel = MiniDbAdapter(
-            columnar=True, morsel_size=MORSEL_SIZE, morsel_threads=threads
-        )
+        morsel = MiniDbAdapter()
+        morsel.enable_columnar(morsel_size=MORSEL_SIZE, threads=threads)
         udfbench.setup(morsel, "tiny", seed=11)
         try:
             assert boom(morsel) == boom(classic)
@@ -129,9 +149,9 @@ def cancel_at_fifty(x: int) -> int:
 
 class TestGovernanceParity:
     def _adapter(self, threads):
-        adapter = MiniDbAdapter(
-            columnar=threads > 0, morsel_size=4, morsel_threads=max(threads, 1)
-        )
+        adapter = MiniDbAdapter()
+        if threads > 0:
+            adapter.enable_columnar(morsel_size=4, threads=threads)
         # Enough rows past the cancel point that both paths must hit a
         # cooperative checkpoint (classic strides every 256 rows).
         adapter.register_table(Table.from_rows(

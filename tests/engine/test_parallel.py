@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.parallel import ParallelVectorExecutor, parallel_map, split_ranges
+from repro.engine.parallel import parallel_map, split_ranges
 from repro.engines import ParallelDbAdapter
 from repro.storage import Table
 from repro.types import SqlType
@@ -124,37 +124,40 @@ class TestParallelMapErrorSemantics:
                 parallel_map(work, list(range(8)), 4)
 
 
+def people_adapter(threads):
+    # Morsels far smaller than the table so sharding actually kicks in.
+    adapter = ParallelDbAdapter(threads=threads, morsel_size=16)
+    for udf in TEST_UDFS:
+        adapter.register_udf(udf)
+    rows = []
+    for i in range(100):
+        rows.append((100 + i, f"Person {i}", 20 + (i % 40), "City", 1.0))
+    adapter.register_table(Table.from_rows(
+        "people",
+        [
+            ("id", SqlType.INT), ("name", SqlType.TEXT),
+            ("age", SqlType.INT), ("city", SqlType.TEXT),
+            ("score", SqlType.FLOAT),
+        ],
+        make_people_table().to_rows() + rows,
+    ))
+    return adapter
+
+
 class TestParallelExecutor:
     @pytest.fixture
     def parallel_adapter(self):
-        adapter = ParallelDbAdapter(threads=3)
-        adapter.register_table(make_people_table())
-        for udf in TEST_UDFS:
-            adapter.register_udf(udf)
-        # widen the table so partitioning actually kicks in
-        rows = []
-        for i in range(100):
-            rows.append((100 + i, f"Person {i}", 20 + (i % 40), "City", 1.0))
-        wide = Table.from_rows(
-            "people",
-            [
-                ("id", SqlType.INT), ("name", SqlType.TEXT),
-                ("age", SqlType.INT), ("city", SqlType.TEXT),
-                ("score", SqlType.FLOAT),
-            ],
-            make_people_table().to_rows() + rows,
-        )
-        adapter.register_table(wide, replace=True)
-        return adapter
+        return people_adapter(threads=3)
 
     def test_parallel_matches_serial(self, parallel_adapter):
-        serial = ParallelDbAdapter(threads=1)
-        serial.database = parallel_adapter.database
+        serial = people_adapter(threads=1)
         sql = "SELECT t_lower(name) AS n FROM people WHERE age > 30 ORDER BY n"
         assert (
             parallel_adapter.execute_sql(sql).to_rows()
             == serial.execute_sql(sql).to_rows()
         )
+        # Filter and the UDF Project both ran over a multi-morsel grid.
+        assert parallel_adapter.database.scheduler.stats()["morsels_run"] > 4
 
     def test_parallel_aggregate(self, parallel_adapter):
         result = parallel_adapter.execute_sql(
@@ -167,3 +170,11 @@ class TestParallelExecutor:
             "SELECT id FROM people WHERE id = 1"
         )
         assert result.to_rows() == [(1,)]
+
+    def test_threads_ride_without_the_columnar_plane(self, parallel_adapter):
+        # dbX is the vector executor plus a threaded scheduler: no
+        # kernels, so UDF boundary crossings stay per value (Fig. 6c).
+        assert parallel_adapter.columnar is None
+        executor = parallel_adapter.database._make_executor()
+        assert type(executor).__name__ == "VectorExecutor"
+        assert executor.scheduler.threads == 3

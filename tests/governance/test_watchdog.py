@@ -170,3 +170,24 @@ class TestCooperativeCancellation:
         ctx.cancel("before submit")
         with pytest.raises(QueryCancelledError):
             adapter.execute_sql("SELECT g_inc(a) FROM numbers", context=ctx)
+
+
+class TestRegistrationIsInterruptSafe:
+    def test_watchdog_is_woken_before_it_can_fire_into_the_registrant(
+        self, monkeypatch
+    ):
+        # Event.set takes the event's lock in a pure-Python __enter__;
+        # an async raise landing there leaks the lock and wedges every
+        # later registration.  The watchdog fires only under its own
+        # lock, so the wake must happen while the registrant holds it.
+        watchdog = governor.Watchdog()
+        held = []
+        wake = watchdog._wake.set
+        monkeypatch.setattr(
+            watchdog._wake, "set",
+            lambda: (held.append(watchdog._lock.locked()), wake()),
+        )
+        context = governor.QueryContext()
+        entry = watchdog.register(threading.get_ident(), context)
+        watchdog.unregister(entry)
+        assert held == [True]
