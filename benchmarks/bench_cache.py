@@ -30,7 +30,7 @@ OVERHEAD_BUDGET = 0.03  # the <3% disabled-path acceptance bound
 
 #: Conservative overcount of cache-guard branches one query reaches with
 #: every tier disabled: one ``caches.active`` in ``_execute_pipeline``,
-#: one in ``_execute_select``, plus a ``registry.memo is None`` check
+#: one in ``_run_pipeline``, plus a ``registry.memo is None`` check
 #: per UDF batch (UDFBench queries run a handful of batches at most).
 GUARDS_PER_QUERY = 16
 

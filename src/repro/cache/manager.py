@@ -62,21 +62,13 @@ class CacheManager:
         #: are structurally unreachable from any other scope.
         self.scope = getattr(config, "cache_scope", None)
         self.plan: Optional[PlanCache] = (
-            PlanCache(config.plan_cache_capacity)
-            if config.plan_cache else None
+            PlanCache() if config.plan_cache else None
         )
         self.memo: Optional[UdfMemoCache] = (
-            UdfMemoCache(
-                config.udf_memo_capacity,
-                min_cost_s=config.udf_memo_min_cost_s,
-            )
-            if config.udf_memo else None
+            UdfMemoCache() if config.udf_memo else None
         )
         self.results: Optional[ResultCache] = (
-            ResultCache(
-                config.result_cache_capacity,
-                single_flight=config.single_flight,
-            )
+            ResultCache(single_flight=config.single_flight)
             if config.result_cache else None
         )
         if self.memo is not None:
@@ -119,19 +111,6 @@ class CacheManager:
                 tier.clear()
 
     # ------------------------------------------------------------------
-    # Catalog access
-    # ------------------------------------------------------------------
-
-    def _catalog(self):
-        catalog = getattr(self.adapter, "catalog", None)
-        if catalog is not None:
-            return catalog
-        database = getattr(self.adapter, "database", None)
-        if database is not None:
-            return database.catalog
-        return None
-
-    # ------------------------------------------------------------------
     # Write tracking (snapshot-epoch invalidation)
     # ------------------------------------------------------------------
 
@@ -144,9 +123,7 @@ class CacheManager:
         an INSERT executes inside the engine without touching our
         catalog.  Double bumps are harmless — epochs only need to move.
         """
-        catalog = self._catalog()
-        if catalog is None:
-            return
+        catalog = self.adapter.catalog
         for name in fingerprint.written_tables(statement):
             catalog.touch(name)
         if OBS.tracing:
@@ -177,9 +154,7 @@ class CacheManager:
         return tuple(versions)
 
     def _table_epochs(self, tables: Sequence[str]) -> Optional[Tuple]:
-        catalog = self._catalog()
-        if catalog is None:
-            return None
+        catalog = self.adapter.catalog
         epochs = []
         for name in tables:
             if name not in catalog:
@@ -188,9 +163,7 @@ class CacheManager:
         return tuple(epochs)
 
     def _table_schemas(self, tables: Sequence[str]) -> Optional[Tuple]:
-        catalog = self._catalog()
-        if catalog is None:
-            return None
+        catalog = self.adapter.catalog
         schemas = []
         for name in tables:
             if name not in catalog:
@@ -218,12 +191,11 @@ class CacheManager:
         versions = self._referenced_udf_versions(udf_names)
         if versions is None:
             return None
-        catalog = self._catalog()
         # Database generation: bumped by every durability recovery, so a
         # cache that outlives an adapter restart (warm service restart)
         # can never serve an entry keyed before the crash — even if an
         # unlogged in-memory epoch bump died with the old process.
-        generation = getattr(catalog, "generation", 0) if catalog else 0
+        generation = self.adapter.catalog.generation
         key = (
             self.scope,
             self.adapter.name,

@@ -49,9 +49,6 @@ class QFusorConfig:
     #: "if the filter is not highly selective; e.g., it filters out less
     #: than 20% of its input" — i.e. keeps >= 80%).
     filter_fusion_min_keep: float = 0.0
-    #: Distinct-offload threshold: fuse DISTINCT when it drops at least
-    #: this fraction of rows (heuristics: "filters out more than 90%").
-    distinct_fusion_min_drop: float = 0.9
     #: Runtime de-optimization: a fused execution that raises invalidates
     #: the trace, blocklists the section, and transparently re-executes
     #: the query through the unfused path.
@@ -63,29 +60,6 @@ class QFusorConfig:
     #: ``raise`` | ``null`` | ``skip`` | ``reinterpret`` (default: replay
     #: the failed row through the interpreted per-UDF chain).
     row_error_policy: str = "reinterpret"
-    #: Bounded LRU capacity for the compiled-trace cache (None: unbounded).
-    trace_cache_capacity: Optional[int] = 256
-    #: Out-of-process channel hardening: per-batch transfer timeout (s).
-    channel_timeout: float = 5.0
-    #: Bounded retry count for failed channel transfers.
-    channel_retries: int = 3
-    #: Base of the exponential backoff between channel retries (s).
-    channel_backoff: float = 0.01
-    # -- process-isolated worker pool (isolation="process") ------------
-    #: Crash-retry budget per batch fingerprint before quarantine.
-    #: None leaves the adapter pool's own setting untouched.
-    worker_max_batch_retries: Optional[int] = None
-    #: Quarantine outcome: "degrade" (in-process fallback) | "fail"
-    #: (typed BatchQuarantinedError).  None: leave pool setting.
-    worker_quarantine_policy: Optional[str] = None
-    #: Pool-wide worker restart budget.  None: leave pool setting.
-    worker_max_restarts: Optional[int] = None
-    #: Per-worker RLIMIT_AS memory cap (MB), applied to workers started
-    #: after configuration.  None: leave pool setting.
-    worker_memory_limit_mb: Optional[int] = None
-    #: Pool-enforced per-batch wall-clock cap (s) independent of query
-    #: governance.  None: leave pool setting.
-    worker_batch_timeout_s: Optional[float] = None
     # -- query lifecycle governance ------------------------------------
     #: Whole-query wall-clock deadline (s); None disables (legacy).
     query_timeout_s: Optional[float] = None
@@ -105,41 +79,22 @@ class QFusorConfig:
     #: How long an arriving query waits in the admission queue before it
     #: is shed with AdmissionTimeoutError; None waits forever.
     admission_timeout_s: Optional[float] = None
-    # -- per-UDF circuit breakers --------------------------------------
-    #: Master switch for per-UDF sliding-window circuit breakers.
-    breaker_enabled: bool = False
-    #: Sliding-window size (boundary invocations) per UDF.
-    breaker_window: int = 32
-    #: Minimum observations before a breaker may trip.
-    breaker_min_calls: int = 8
-    #: Failure-rate trip threshold over the window.
-    breaker_failure_threshold: float = 0.5
-    #: p95 per-tuple latency trip threshold (s); None disables.
-    breaker_latency_threshold_s: Optional[float] = None
-    #: OPEN -> HALF_OPEN cooldown (s).
-    breaker_cooldown_s: float = 30.0
-    #: What an open breaker means: "unfused" (bypass fusion for queries
-    #: referencing the UDF) or "fail_fast" (raise CircuitOpenError).
+    #: What an open per-UDF circuit breaker means for a query: "unfused"
+    #: (bypass fusion) or "fail_fast" (raise CircuitOpenError).  The
+    #: breakers themselves are switched on and tuned on their owner:
+    #: ``adapter.registry.breakers.configure(...)``.
     breaker_policy: str = "unfused"
     # -- multi-tier caching subsystem (repro.cache) --------------------
     #: Plan cache: normalized-SQL fingerprint -> parsed/planned/fused
     #: pipeline; a hot query skips parse/plan/fuse entirely.
     plan_cache: bool = False
-    #: Bounded LRU capacity of the plan cache.
-    plan_cache_capacity: int = 256
     #: UDF memoization: per-(udf, definition-version) LRU over batch
     #: inputs.  Only UDFs explicitly annotated ``deterministic=True``
     #: participate; admission is cost-aware via the StatsStore.
     udf_memo: bool = False
-    #: Bounded LRU capacity of the UDF memo cache (entries).
-    udf_memo_capacity: int = 1024
-    #: Expected per-tuple cost (s) below which a UDF is never memoized.
-    udf_memo_min_cost_s: float = 1e-6
     #: Query result cache keyed by (SQL fingerprint, table snapshot
     #: epochs, UDF definition versions, config fingerprint).
     result_cache: bool = False
-    #: Bounded LRU capacity of the result cache (entries).
-    result_cache_capacity: int = 128
     #: Single-flight dogpile protection: concurrent identical queries
     #: elect one leader; the rest share its result.
     single_flight: bool = True
@@ -154,12 +109,6 @@ class QFusorConfig:
     #: boundary is skipped entirely.  Untranslatable statements fall
     #: back to the fusion/JIT ladder unchanged.
     translate_enabled: bool = False
-    #: Verify every accepted translation against the Python function
-    #: over a probe battery at translate time; a mismatch rejects the
-    #: translation instead of risking wrong answers.
-    translate_self_check: bool = True
-    #: Depth bound for inlining calls to other translatable UDFs.
-    translate_max_inline_depth: int = 3
 
     def ablated(self, **changes) -> "QFusorConfig":
         """A copy with the given switches changed (for ablation benches)."""

@@ -24,6 +24,10 @@ from .dfg import Operator
 
 __all__ = ["Heuristics"]
 
+#: Rule 4's threshold: DISTINCT fuses only when it drops at least this
+#: fraction of its input ("filters out more than 90%").
+DISTINCT_FUSION_MIN_DROP = 0.9
+
 
 @dataclass
 class Heuristics:
@@ -98,7 +102,7 @@ class Heuristics:
             return False
         if drop_fraction is None:
             drop_fraction = 0.5  # planner default
-        return drop_fraction >= self.config.distinct_fusion_min_drop
+        return drop_fraction >= DISTINCT_FUSION_MIN_DROP
 
     # -- rule 5 ----------------------------------------------------------
 

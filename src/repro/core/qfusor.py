@@ -22,7 +22,7 @@ import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..cache import CacheManager
 from ..cache.plan_cache import PlanEntry
@@ -56,6 +56,9 @@ from .sections import FusibleSection, discover_sections
 from .transform import FusionOutcome, PlanFuser
 
 __all__ = ["QFusor", "QFusorReport"]
+
+#: Bounded-LRU size of the compiled-trace cache.
+TRACE_CACHE_CAPACITY = 256
 
 
 @dataclass
@@ -123,6 +126,23 @@ class QFusorReport:
         return self.fus_optim_seconds + self.codegen_seconds
 
 
+@dataclass
+class Rung:
+    """One way of answering a query.  The ladder is a lazy sequence of
+    these, highest first, walked by :meth:`QFusor._walk`."""
+
+    #: "translated" | "fused" | "unfused".
+    name: str
+    #: Dispatches this rung's statement or plan to the engine.
+    run: Callable[[], Table]
+    #: UDFs blamed when ``run`` faults.  Empty marks the floor: the
+    #: engine's own path has nothing left to de-optimize, so its fault
+    #: is genuine and propagates.
+    udfs: Sequence[str] = ()
+    #: What the plan cache stores once ``run`` has come back clean.
+    entry: Optional[PlanEntry] = None
+
+
 class QFusor:
     """The pluggable UDF-query optimizer client."""
 
@@ -148,29 +168,8 @@ class QFusor:
             FusionBlocklist(self.config.deopt_cooldown),
         )
         self.cache = TraceCache(
-            self.config.trace_cache,
-            capacity=self.config.trace_cache_capacity,
+            self.config.trace_cache, capacity=TRACE_CACHE_CAPACITY
         )
-        # Propagate channel hardening knobs to adapters with a resilient
-        # out-of-process channel (the row-store deployment).
-        channel = getattr(engine, "channel", None)
-        if channel is not None and hasattr(channel, "configure"):
-            channel.configure(
-                timeout=self.config.channel_timeout,
-                retries=self.config.channel_retries,
-                backoff=self.config.channel_backoff,
-            )
-        # Propagate worker-pool supervision knobs to adapters running
-        # UDFs in supervised worker processes (isolation="process").
-        workers = getattr(engine, "workers", None)
-        if workers is not None and hasattr(workers, "configure"):
-            workers.configure(
-                max_batch_retries=self.config.worker_max_batch_retries,
-                quarantine_policy=self.config.worker_quarantine_policy,
-                max_restarts=self.config.worker_max_restarts,
-                memory_limit_mb=self.config.worker_memory_limit_mb,
-                batch_timeout_s=self.config.worker_batch_timeout_s,
-            )
         self.fuser = PlanFuser(
             engine.registry, engine.resolver, self.cost_model,
             self.heuristics, self.config, self.cache,
@@ -187,16 +186,6 @@ class QFusor:
         # QFusor can never read each other's reports.
         self._reports = threading.local()
         self._last_context: Optional[QueryContext] = None
-        # Per-UDF circuit breakers live on the registry (shared with any
-        # other client of the same adapter); thresholds come from config.
-        engine.registry.breakers.configure(
-            enabled=self.config.breaker_enabled,
-            window=self.config.breaker_window,
-            min_calls=self.config.breaker_min_calls,
-            failure_threshold=self.config.breaker_failure_threshold,
-            latency_threshold_s=self.config.breaker_latency_threshold_s,
-            cooldown_s=self.config.breaker_cooldown_s,
-        )
         # Bounded admission control (None: unlimited concurrency).
         self.admission: Optional[AdmissionGate] = None
         if self.config.max_concurrent_queries is not None:
@@ -212,10 +201,7 @@ class QFusor:
             from ..sql.translate import UdfTranslator
 
             self.translator = UdfTranslator(
-                engine.registry,
-                getattr(engine, "translate_dialect", "python"),
-                max_inline_depth=self.config.translate_max_inline_depth,
-                self_check=self.config.translate_self_check,
+                engine.registry, engine.translate_dialect
             )
 
     # ------------------------------------------------------------------
@@ -386,9 +372,8 @@ class QFusor:
                 return self._run_pipeline(statement, report)
             finally:
                 caches.note_write(statement)
-        rkey = caches.result_key(
-            statement, sql_text, self._referenced_udfs(statement)
-        )
+        udfs = referenced_udfs(statement, self.adapter.registry)
+        rkey = caches.result_key(statement, sql_text, udfs)
         if rkey is None:
             return self._run_pipeline(statement, report)
 
@@ -407,45 +392,21 @@ class QFusor:
         self, statement: ast.Statement, report: QFusorReport
     ) -> Table:
         if not self.config.enabled or not self._involves_udfs(statement):
-            try:
-                return self.adapter.execute_sql(statement)
-            finally:
-                self._drain_runtime_events(report)
+            return self._walk(report, [self._floor(statement)])
         report.is_udf_query = True
 
         # Circuit-breaker gate: a query referencing an open-breaker UDF
-        # either fails fast or bypasses fusion entirely (policy).
+        # either fails fast or starts its walk at the floor (policy).
         if not self._admit_breakers(statement, report):
-            return self.adapter.execute_sql(statement)
+            return self._walk(report, [self._floor(statement)])
 
-        if isinstance(statement, ast.Select):
-            return self._execute_select(statement, report)
-        if self.translator is not None:
-            result = self._try_translate(
-                statement, report, None,
-                fallback=lambda: self._run_dml_fused(statement, report),
+        pkey = None
+        if self.caches.active and isinstance(statement, ast.Select):
+            pkey = self.caches.plan_key(
+                statement, referenced_udfs(statement, self.adapter.registry)
             )
-            if result is not None:
-                return result
-        return self._run_dml_fused(statement, report)
-
-    def _run_dml_fused(
-        self, statement: ast.Statement, report: QFusorReport
-    ) -> Table:
-        # DML with UDFs: rewrite expressions at the SQL level (4.2.5).
-        sp = obs_tracer.span_start("fuse") if OBS.tracing else None
-        start = time.perf_counter()
-        rewritten = rewrite_statement(
-            statement, self._fuse_expression_hook(report), self._catalog()
-        )
-        report.codegen_seconds = time.perf_counter() - start
-        report.rewritten_sql = to_sql(rewritten)
-        if sp is not None:
-            obs_tracer.span_end(sp, fused=len(report.fused))
-        return self._dispatch_guarded(
-            report,
-            lambda: self.adapter.execute_sql(rewritten),
-            lambda: self.adapter.execute_sql(statement),
+        return self._walk(
+            report, self._ladder(statement, report, pkey), pkey
         )
 
     def _admit_breakers(
@@ -461,7 +422,9 @@ class QFusor:
         board = self.adapter.registry.breakers
         if not board.enabled:
             return True
-        refused = board.refusing(self._referenced_udfs(statement))
+        refused = board.refusing(
+            referenced_udfs(statement, self.adapter.registry)
+        )
         if not refused:
             return True
         if self.config.breaker_policy == "fail_fast":
@@ -476,195 +439,127 @@ class QFusor:
             obs_tracer.add_event("breaker_bypass", udfs=",".join(refused))
         return False
 
-    def _referenced_udfs(self, statement: ast.Statement) -> List[str]:
-        registry = self.adapter.registry
-        names: List[str] = []
-        for expr in _statement_expressions(statement):
-            for node in ast.walk_expr(expr):
-                if (
-                    isinstance(node, ast.FunctionCall)
-                    and node.name in registry
-                    and node.name.lower() not in names
-                ):
-                    names.append(node.name.lower())
-        return names
-
-    def _execute_select(
-        self, statement: ast.Select, report: QFusorReport
-    ) -> Table:
-        pkey = (
-            self.caches.plan_key(statement, self._referenced_udfs(statement))
-            if self.caches.active else None
-        )
-        if pkey is not None:
-            entry = self.caches.plan_lookup(pkey, report)
-            if entry is not None:
-                return self._dispatch_cached_plan(statement, entry, report, pkey)
-
-        # Froid-style translation first: when every UDF reference
-        # compiles to SQL, the UDF boundary disappears and fusion has
-        # nothing left to do.  Unsupported shapes fall through to the
-        # fusion/JIT ladder below with an `unsupported` event.
-        if self.translator is not None:
-            result = self._try_translate(
-                statement, report, pkey,
-                fallback=lambda: self._execute_select_fused(
-                    statement, report, pkey
-                ),
-            )
-            if result is not None:
-                return result
-        return self._execute_select_fused(statement, report, pkey)
-
-    def _execute_select_fused(
-        self,
-        statement: ast.Select,
-        report: QFusorReport,
-        pkey: Optional[tuple],
-    ) -> Table:
-        if not self.adapter.supports_plan_dispatch:
-            # Path 1: SQL rewriting only (expression-level fusion).
-            sp = obs_tracer.span_start("fuse") if OBS.tracing else None
-            start = time.perf_counter()
-            rewritten = rewrite_statement(
-                statement, self._fuse_expression_hook(report), self._catalog()
-            )
-            report.codegen_seconds = time.perf_counter() - start
-            report.rewritten_sql = to_sql(rewritten)
-            if sp is not None:
-                obs_tracer.span_end(
-                    sp, fused=len(report.fused), cache_hits=report.cache_hits
-                )
-            if pkey is not None:
-                self.caches.plan_store(
-                    pkey,
-                    PlanEntry(
-                        kind="sql",
-                        rewritten=rewritten,
-                        fused=list(report.fused),
-                    ),
-                    report,
-                )
-            return self._dispatch_guarded(
-                report,
-                lambda: self.adapter.execute_sql(rewritten),
-                lambda: self.adapter.execute_sql(statement),
-            )
-
-        # EXPLAIN probe: get the engine's optimized plan.
-        sp = obs_tracer.span_start("plan") if OBS.tracing else None
-        planned = self.adapter.explain_plan(statement)
-        report.plan_before = explain_text(planned)
-        if sp is not None:
-            obs_tracer.span_end(sp)
-
-        # Steps 1-3 under one "fuse" span: discovery + fusion
-        # optimization + JIT code generation (the jit_compile span nests
-        # inside, opened by TraceCache on a compile miss).
-        sp = obs_tracer.span_start("fuse") if OBS.tracing else None
-        start = time.perf_counter()
-        graph = build_dfg(planned, self.adapter.resolver)
-        report.sections = discover_sections(graph, self.cost_model, self.config)
-        report.fus_optim_seconds = time.perf_counter() - start
-
-        outcome = self.fuser.fuse_query(planned)
-        report.codegen_seconds = outcome.codegen_seconds
-        report.fused = outcome.fused
-        report.cache_hits = outcome.cache_hits
-        report.plan_after = explain_text(outcome.planned)
-        if sp is not None:
-            obs_tracer.span_end(
-                sp,
-                sections=len(report.sections),
-                fused=len(report.fused),
-                cache_hits=report.cache_hits,
-            )
-
-        if pkey is not None:
-            self.caches.plan_store(
-                pkey,
-                PlanEntry(
-                    kind="plan",
-                    original=planned,
-                    fused_planned=outcome.planned,
-                    fused=list(outcome.fused),
-                    sections=list(report.sections),
-                    plan_before=report.plan_before,
-                    plan_after=report.plan_after,
-                ),
-                report,
-            )
-
-        # Step 4: dispatch the rewritten plan (path 2), guarded.
-        return self._dispatch_guarded(
-            report,
-            lambda: self.adapter.execute_plan(outcome.planned),
-            lambda: self.adapter.execute_plan(planned),
-        )
-
-    def _dispatch_cached_plan(
-        self,
-        statement: ast.Select,
-        entry: PlanEntry,
-        report: QFusorReport,
-        pkey: Optional[tuple] = None,
-    ) -> Table:
-        """Dispatch a plan-cache hit: parse/probe/plan/fuse all skipped."""
-        report.fused = list(entry.fused)
-        if entry.kind == "translated":
-            names = list(entry.translated)
-            report.translated = names
-            report.rewritten_sql = to_sql(entry.rewritten)
-            report.translate_events.append(
-                TranslateEvent(tuple(names), "hit", "plan-cache")
-            )
-            if OBS.metrics:
-                METRICS.counter("repro_translate_total", outcome="hit").inc()
-            return self._dispatch_translated(
-                entry.rewritten, names, report, pkey=pkey,
-                fallback=lambda: self._execute_select_fused(
-                    statement, report, None
-                ),
-            )
-        if entry.kind == "sql":
-            report.rewritten_sql = to_sql(entry.rewritten)
-            return self._dispatch_guarded(
-                report,
-                lambda: self.adapter.execute_sql(entry.rewritten),
-                lambda: self.adapter.execute_sql(statement),
-            )
-        report.sections = list(entry.sections)
-        report.plan_before = entry.plan_before
-        report.plan_after = entry.plan_after
-        return self._dispatch_guarded(
-            report,
-            lambda: self.adapter.execute_plan(entry.fused_planned),
-            lambda: self.adapter.execute_plan(entry.original),
-        )
-
     # ------------------------------------------------------------------
-    # Froid-style UDF-to-SQL translation (ahead of fusion)
+    # The ladder: rungs as data, prepared lazily, walked by one driver
     # ------------------------------------------------------------------
 
-    def _try_translate(
+    def _ladder(
         self,
         statement: ast.Statement,
         report: QFusorReport,
         pkey: Optional[tuple],
-        *,
-        fallback,
-    ) -> Optional[Table]:
+    ) -> Iterator[Rung]:
+        """The rungs for one UDF statement, highest first.
+
+        A generator, so a preparer (plan-cache lookup, translate, fuse)
+        runs only when the walk reaches its rung: a clean translated run
+        never plans or fuses, and a faulted one fuses afterwards.
+        """
+        entry = None
+        if pkey is not None:
+            entry = self.caches.plan_lookup(pkey, report)
+        hit = entry is not None
+        if hit:
+            # A plan-cache hit: parse/probe/plan/fuse all skipped.
+            self._adopt(report, entry, "plan-cache")
+        elif self.translator is not None:
+            # Froid-style translation first: when every UDF reference
+            # compiles to SQL, the UDF boundary disappears and fusion
+            # has nothing left to do.
+            entry = self._translate(statement, report)
+        if entry is not None:
+            yield from self._rungs_of(entry, statement, store=not hit)
+            if entry.kind != "translated":
+                return
+        # Reached by untranslatable statements, and by a walk falling
+        # off a faulted translated rung.
+        if (
+            isinstance(statement, ast.Select)
+            and self.adapter.supports_plan_dispatch
+        ):
+            entry = self._fuse_plan(statement, report)
+        else:
+            entry = self._rewrite(statement, report)
+        yield from self._rungs_of(entry, statement)
+
+    def _floor(self, statement: ast.Statement) -> Rung:
+        """The last rung of every ladder: the engine's own path."""
+        return Rung("unfused", lambda: self.adapter.execute_sql(statement))
+
+    def _rungs_of(
+        self, entry: PlanEntry, statement: ast.Statement, store: bool = True
+    ) -> Iterator[Rung]:
+        """The rungs a plan entry stands for; ``store`` is off for an
+        entry the plan cache itself served.  The originals were never
+        mutated by fusion, so the floor below a fused rung runs the pure
+        per-UDF path."""
+        cacheable = entry if store else None
+        if entry.kind == "translated":
+            # No floor of its own: the fuse stage supplies the rungs below.
+            name, udfs = "translated", tuple(entry.translated)
+        elif entry.fused:
+            name, udfs = "fused", tuple(entry.fused_names())
+        else:
+            # Nothing fused, so nothing to de-optimize: the prepared
+            # plan or statement is itself the floor.
+            name, udfs = "unfused", ()
+        if entry.kind == "plan":
+            yield Rung(
+                name,
+                lambda: self.adapter.execute_plan(entry.fused_planned),
+                udfs,
+                cacheable,
+            )
+            floor = Rung(
+                "unfused", lambda: self.adapter.execute_plan(entry.original)
+            )
+        else:
+            yield Rung(
+                name,
+                lambda: self.adapter.execute_sql(entry.rewritten),
+                udfs,
+                cacheable,
+            )
+            floor = self._floor(statement)
+        if name == "fused":
+            yield floor
+
+    def _adopt(
+        self, report: QFusorReport, entry: PlanEntry, source: str = ""
+    ) -> None:
+        """Reflect a plan entry in the report, whichever preparer
+        (``source``) produced it."""
+        report.fused = list(entry.fused)
+        if entry.kind == "plan":
+            report.sections = list(entry.sections)
+            report.plan_before = entry.plan_before
+            report.plan_after = entry.plan_after
+            return
+        report.rewritten_sql = to_sql(entry.rewritten)
+        if entry.kind == "translated":
+            report.translated = list(entry.translated)
+            report.translate_events.append(
+                TranslateEvent(tuple(entry.translated), "hit", source)
+            )
+            if OBS.metrics:
+                METRICS.counter("repro_translate_total", outcome="hit").inc()
+
+    # -- preparers -------------------------------------------------------
+
+    def _translate(
+        self, statement: ast.Statement, report: QFusorReport
+    ) -> Optional[PlanEntry]:
         """Compile every UDF reference away, or return None to fuse.
 
         All-or-nothing per statement: a single untranslatable reference
-        keeps the whole query on the fusion ladder (mixing translated
+        keeps the whole query on the fusion rungs (mixing translated
         and boundary-crossing UDFs in one statement buys nothing — the
         boundary is still paid).
         """
         sp = obs_tracer.span_start("translate") if OBS.tracing else None
         try:
             outcome = self.translator.translate_statement(
-                statement, self._catalog()
+                statement, self.adapter.catalog
             )
         except Exception as exc:
             # A translator defect must degrade to fusion, never fail the
@@ -692,131 +587,157 @@ class QFusor:
             if sp is not None:
                 obs_tracer.span_end(sp, translated=0)
             return None
-        names = sorted(outcome.translated)
-        report.translated = list(names)
-        report.rewritten_sql = to_sql(outcome.statement)
-        report.translate_events.append(TranslateEvent(tuple(names), "hit"))
-        if OBS.metrics:
-            METRICS.counter("repro_translate_total", outcome="hit").inc()
+        entry = PlanEntry(
+            kind="translated",
+            rewritten=outcome.statement,
+            translated=sorted(outcome.translated),
+        )
+        self._adopt(report, entry)
         if sp is not None:
-            obs_tracer.span_end(sp, translated=len(names))
-        return self._dispatch_translated(
-            outcome.statement, names, report, pkey=pkey, fallback=fallback
-        )
+            obs_tracer.span_end(sp, translated=len(entry.translated))
+        return entry
 
-    def _dispatch_translated(
+    def _fuse_plan(
+        self, statement: ast.Select, report: QFusorReport
+    ) -> PlanEntry:
+        """Path 2, steps 1-3: probe the engine's optimizer, then
+        discover, optimize and JIT-compile fused sections of its plan."""
+        sp = obs_tracer.span_start("plan") if OBS.tracing else None
+        planned = self.adapter.explain_plan(statement)
+        plan_before = explain_text(planned)
+        if sp is not None:
+            obs_tracer.span_end(sp)
+
+        # One "fuse" span: the jit_compile span nests inside, opened by
+        # TraceCache on a compile miss.
+        sp = obs_tracer.span_start("fuse") if OBS.tracing else None
+        start = time.perf_counter()
+        graph = build_dfg(planned, self.adapter.resolver)
+        sections = discover_sections(graph, self.cost_model, self.config)
+        report.fus_optim_seconds = time.perf_counter() - start
+
+        outcome = self.fuser.fuse_query(planned)
+        report.codegen_seconds = outcome.codegen_seconds
+        report.cache_hits = outcome.cache_hits
+        entry = PlanEntry(
+            kind="plan",
+            original=planned,
+            fused_planned=outcome.planned,
+            fused=outcome.fused,
+            sections=sections,
+            plan_before=plan_before,
+            plan_after=explain_text(outcome.planned),
+        )
+        self._adopt(report, entry)
+        if sp is not None:
+            obs_tracer.span_end(
+                sp,
+                sections=len(sections),
+                fused=len(entry.fused),
+                cache_hits=report.cache_hits,
+            )
+        return entry
+
+    def _rewrite(
+        self, statement: ast.Statement, report: QFusorReport
+    ) -> PlanEntry:
+        """Path 1: fuse at the expression level and rewrite the SQL
+        (4.2.5) — for engines without plan dispatch, and for DML."""
+
+        def fuse_expr(expr: ast.Expr, fields: Sequence[Field]) -> ast.Expr:
+            outcome = FusionOutcome(None)
+            fused = self.fuser._fuse_expr(expr, _SchemaHolder(fields), outcome)
+            report.fused.extend(outcome.fused)
+            report.cache_hits += outcome.cache_hits
+            return fused
+
+        sp = obs_tracer.span_start("fuse") if OBS.tracing else None
+        start = time.perf_counter()
+        rewritten = rewrite_statement(
+            statement, fuse_expr, self.adapter.catalog
+        )
+        report.codegen_seconds = time.perf_counter() - start
+        entry = PlanEntry(
+            kind="sql", rewritten=rewritten, fused=list(report.fused)
+        )
+        self._adopt(report, entry)
+        if sp is not None:
+            obs_tracer.span_end(
+                sp, fused=len(entry.fused), cache_hits=report.cache_hits
+            )
+        return entry
+
+    # -- the driver ------------------------------------------------------
+
+    def _walk(
         self,
-        rewritten: ast.Statement,
-        names: List[str],
         report: QFusorReport,
-        *,
-        pkey: Optional[tuple],
-        fallback,
+        rungs: Iterable[Rung],
+        pkey: Optional[tuple] = None,
     ) -> Table:
-        """Execute the translated statement; on a runtime fault, poison
-        the translation and fall back through the fusion ladder."""
-        try:
-            result = self.adapter.execute_sql(rewritten)
-        except QueryTimeoutError:
-            # The translated statement has no UDF boundary left to blame;
-            # re-running the same work unfused would time out again.
-            self._drain_runtime_events(report)
-            raise
-        except Exception as exc:
-            self._drain_runtime_events(report)
-            if not self.config.deopt:
-                raise
-            self._translate_deopt(exc, names, report, pkey)
-            return self._reexecute(report, fallback)
-        self._drain_runtime_events(report)
-        if pkey is not None and not report.deopted:
-            # Stored only after a clean dispatch, so a poisoned
-            # translation can never be re-served from the plan cache.
-            self.caches.plan_store(
-                pkey,
-                PlanEntry(
-                    kind="translated",
-                    rewritten=rewritten,
-                    translated=list(names),
-                ),
-                report,
-            )
-        return result
+        """Run rungs top-down until one answers — the one deopt rule.
 
-    def _translate_deopt(
-        self,
-        exc: BaseException,
-        names: List[str],
-        report: QFusorReport,
-        pkey: Optional[tuple],
-    ) -> None:
-        """Record a translated-path runtime fault and poison the
-        translations so later queries go straight to fusion."""
-        reason = f"{type(exc).__name__}: {exc}"
-        self.translator.poison(names, reason)
-        if pkey is not None:
-            self.caches.plan_invalidate(pkey, report)
-        report.translated = []
-        report.translate_events.append(
-            TranslateEvent(tuple(names), "deopt", reason)
-        )
-        # A DeoptEvent keeps the existing machinery honest: storeable()
-        # refuses to cache the degraded run, report.deopted flips, and
-        # dashboards counting deopts see translated-path faults too.
-        report.deopt_events.append(
-            DeoptEvent(udf_names=tuple(names), error=reason)
-        )
-        if OBS.metrics:
-            METRICS.counter("repro_translate_total", outcome="deopt").inc()
-            METRICS.counter("repro_deopt_total").inc()
-        if OBS.tracing:
-            obs_tracer.add_event(
-                "translate_deopt", udfs=",".join(names), error=reason
-            )
-
-    # ------------------------------------------------------------------
-    # Guarded dispatch + de-optimization
-    # ------------------------------------------------------------------
-
-    def _dispatch_guarded(self, report: QFusorReport, run_fused,
-                          run_unfused) -> Table:
-        """Run the fused plan or statement; on a runtime fault,
-        de-optimize and transparently re-execute the original (unfused)
-        one.  The two thunks dispatch a plan (path 2) or SQL (path 1 /
-        DML) — the guard is the same."""
-        if not report.fused:
-            return run_fused()
-        context = ResilienceContext(self.config.row_error_policy)
-        try:
-            with activate(context):
-                result = run_fused()
-        except (QueryTimeoutError, Exception) as exc:
-            self._finish_guarded(report, context)
-            if isinstance(exc, QueryTimeoutError):
-                if not self._timeout_retry_allowed(exc, report):
+        A fault on a rung that has UDFs to blame de-optimizes: blame
+        them, record the :class:`DeoptEvent`, fall to the next rung.
+        Query interrupts and whole-query timeouts propagate (the time is
+        simply gone), as does everything when ``config.deopt`` is off.
+        A plan entry is cached only by a walk that never de-optimized.
+        """
+        for rung in rungs:
+            try:
+                result = self._run_rung(rung, report)
+            except (QueryTimeoutError, Exception) as exc:
+                if not rung.udfs:
+                    # The unfused path fails too: the fault is genuine
+                    # (a user UDF raising), not an optimization artifact.
+                    if report.deopt_events:
+                        report.deopt_events[-1].recovered = False
                     raise
-            elif not self.config.deopt:
-                raise
-            self._deoptimize(exc, report.fused_names, report)
-            # The original plan nodes / statement were never mutated by
-            # fusion, so re-dispatching them runs the pure per-UDF path.
-            return self._reexecute(report, run_unfused)
-        self._finish_guarded(report, context)
-        return result
+                if isinstance(exc, QueryTimeoutError):
+                    if not self._timeout_retry_allowed(exc, rung):
+                        raise
+                elif not self.config.deopt:
+                    raise
+                self._blame(rung, exc, report, pkey)
+                continue
+            if (
+                rung.entry is not None
+                and pkey is not None
+                and not report.deopted
+            ):
+                self.caches.plan_store(pkey, rung.entry, report)
+            return result
+        raise ReproError("ladder ended without a floor rung")
+
+    def _run_rung(self, rung: Rung, report: QFusorReport) -> Table:
+        """Dispatch one rung; however it ends, the row-level and
+        adapter-side events it caused reach the report."""
+        context, scope = None, contextlib.nullcontext()
+        if rung.name == "fused":
+            context = ResilienceContext(self.config.row_error_policy)
+            scope = activate(context)
+        try:
+            with scope:
+                return rung.run()
+        finally:
+            if context is not None:
+                report.row_events.extend(context.row_events)
+            self._drain_runtime_events(report)
 
     def _timeout_retry_allowed(
-        self, exc: QueryTimeoutError, report: QFusorReport
+        self, exc: QueryTimeoutError, rung: Rung
     ) -> bool:
-        """Whether a fused-path timeout warrants one unfused retry.
+        """Whether a timeout on ``rung`` warrants one retry lower down.
 
-        Only when the fused trace is the suspect (a per-batch cap fired
-        inside a UDF this query fused), deopt is on, and the query
+        Only when a fused trace is the suspect (a per-batch cap fired
+        inside a UDF this rung fused), deopt is on, and the query
         deadline still has slack — a whole-query timeout means the time
-        is simply gone, so retrying would just time out again.
+        is simply gone, so retrying would just time out again.  A
+        translated statement has no UDF boundary left to blame at all.
         """
         if not (self.config.deopt and self.config.timeout_deopt_retry):
             return False
-        if exc.udf_name is None or exc.udf_name not in report.fused_names:
+        if rung.name != "fused" or exc.udf_name not in rung.udfs:
             return False
         ctx = governor.current()
         if ctx is not None:
@@ -829,98 +750,87 @@ class QFusor:
             ctx.timeout_kind = None
         return True
 
-    def _reexecute(self, report: QFusorReport, run) -> Table:
-        try:
-            return run()
-        except Exception:
-            # The unfused path fails too: the fault is genuine (a user
-            # UDF raising), not a fused-trace artifact.  Propagate.
-            if report.deopt_events:
-                report.deopt_events[-1].recovered = False
-            raise
-
-    def _finish_guarded(
-        self, report: QFusorReport, context: ResilienceContext
-    ) -> None:
-        report.row_events.extend(context.row_events)
-        self._drain_runtime_events(report)
-
-    def _drain_runtime_events(self, report: QFusorReport) -> None:
-        """Move adapter-side channel/worker incidents into the report."""
-        channel = getattr(self.adapter, "channel", None)
-        if channel is not None and hasattr(channel, "drain_incidents"):
-            report.channel_events.extend(channel.drain_incidents())
-        else:
-            incidents = getattr(channel, "incidents", None)
-            if incidents:
-                report.channel_events.extend(incidents)
-                incidents.clear()
-        workers = getattr(self.adapter, "workers", None)
-        if workers is not None:
-            report.worker_events.extend(workers.drain_incidents())
-
-    def _deoptimize(
+    def _blame(
         self,
+        rung: Rung,
         exc: BaseException,
-        fused_names: Sequence[str],
         report: QFusorReport,
+        pkey: Optional[tuple],
     ) -> None:
-        """Invalidate and blocklist the trace(s) behind a runtime fault."""
-        # UdfExecutionError and QueryTimeoutError both carry udf_name.
-        if getattr(exc, "udf_name", None) in fused_names:
-            targets = [exc.udf_name]
+        """De-optimize a faulted rung: make sure neither this client nor
+        the plan cache serves it again, and record the DeoptEvent."""
+        if rung.name == "translated":
+            # Poison the translations so later queries go straight to
+            # fusion (until the UDF is re-registered).
+            error = f"{type(exc).__name__}: {exc}"
+            self.translator.poison(rung.udfs, error)
+            report.translated = []
+            report.translate_events.append(
+                TranslateEvent(tuple(rung.udfs), "deopt", error)
+            )
+            event = DeoptEvent(udf_names=tuple(rung.udfs), error=error)
+            if OBS.metrics:
+                METRICS.counter("repro_translate_total", outcome="deopt").inc()
         else:
-            targets = list(fused_names)
-        invalidated = []
-        blocked = 0
-        for name in targets:
-            key = self.cache.key_for(name)
-            if key is not None:
-                if self.cache.invalidate(key):
-                    invalidated.append(name)
-                self.heuristics.blocklist.block(key)
-                blocked += 1
-            try:
-                self.adapter.registry.drop(name)
-            except UdfRegistrationError:
-                pass  # already dropped, or engine-side registration only
-        report.deopt_events.append(
-            DeoptEvent(
+            # Invalidate, blocklist and unregister the fused trace(s).
+            # UdfExecutionError and QueryTimeoutError both carry udf_name.
+            if getattr(exc, "udf_name", None) in rung.udfs:
+                targets = [exc.udf_name]
+            else:
+                targets = list(rung.udfs)
+            invalidated = []
+            blocked = 0
+            for name in targets:
+                key = self.cache.key_for(name)
+                if key is not None:
+                    if self.cache.invalidate(key):
+                        invalidated.append(name)
+                    self.heuristics.blocklist.block(key)
+                    blocked += 1
+                try:
+                    self.adapter.registry.drop(name)
+                except UdfRegistrationError:
+                    pass  # already dropped, or engine-side registration only
+            event = DeoptEvent(
                 udf_names=tuple(targets),
                 error=repr(exc),
                 invalidated=tuple(invalidated),
                 blocklisted=blocked,
             )
-        )
+        if pkey is not None:
+            # A cached entry that served this rung is disproved.
+            self.caches.plan_invalidate(pkey, report)
+        # The event is what keeps the rest honest: storeable() refuses to
+        # cache the degraded run, report.deopted flips, and dashboards
+        # counting deopts see translated-path faults too.
+        report.deopt_events.append(event)
         if OBS.metrics:
             METRICS.counter("repro_deopt_total").inc()
         if OBS.tracing:
             obs_tracer.add_event(
-                "deopt", udfs=",".join(targets), error=type(exc).__name__
+                "translate_deopt" if rung.name == "translated" else "deopt",
+                udfs=",".join(event.udf_names),
+                error=type(exc).__name__,
             )
+
+    def _drain_runtime_events(self, report: QFusorReport) -> None:
+        """Move adapter-side channel/worker incidents into the report."""
+        channel = getattr(self.adapter, "channel", None)
+        if channel is not None:
+            report.channel_events.extend(channel.drain_incidents())
+        workers = self.adapter.workers
+        if workers is not None:
+            report.worker_events.extend(workers.drain_incidents())
 
     def analyze(self, sql: Union[str, ast.Statement]) -> QFusorReport:
         """Run the pipeline without executing; returns the report."""
         statement = parse(sql) if isinstance(sql, str) else sql
         sql_text = sql if isinstance(sql, str) else to_sql(statement)
         report = QFusorReport(sql=sql_text)
-        if not isinstance(statement, ast.Select) or not self._involves_udfs(
-            statement
-        ):
-            return report
-        report.is_udf_query = True
-        planned = self.adapter.explain_plan(statement)
-        report.plan_before = explain_text(planned)
-        start = time.perf_counter()
-        graph = build_dfg(planned, self.adapter.resolver)
-        report.sections = discover_sections(graph, self.cost_model, self.config)
-        report.fus_optim_seconds = time.perf_counter() - start
-        outcome = self.fuser.fuse_query(planned)
-        report.codegen_seconds = outcome.codegen_seconds
-        report.fused = outcome.fused
-        report.cache_hits = outcome.cache_hits
-        report.plan_after = explain_text(outcome.planned)
-        self.last_report = report
+        if isinstance(statement, ast.Select) and self._involves_udfs(statement):
+            report.is_udf_query = True
+            self._fuse_plan(statement, report)
+            self.last_report = report
         return report
 
     def profile_udfs(
@@ -941,10 +851,7 @@ class QFusor:
         Returns ``{udf_name: bucketed_cost_per_tuple}`` for the UDFs
         profiled.
         """
-        from ..udf.definition import UdfKind
-
-        catalog = self._catalog()
-        table = catalog.get(table_name)
+        table = self.adapter.catalog.get(table_name)
         size = min(sample_rows, table.num_rows)
         sample = table.slice(0, size)
         profiled = {}
@@ -975,40 +882,13 @@ class QFusor:
     def rewrite_sql(self, sql: str) -> str:
         """Path 1: produce the fused SQL text for resubmission."""
         report = QFusorReport(sql=sql)
-        statement = parse(sql)
-        rewritten = rewrite_statement(
-            statement, self._fuse_expression_hook(report), self._catalog()
-        )
+        self._rewrite(parse(sql), report)
         self.last_report = report
-        return to_sql(rewritten)
+        return report.rewritten_sql
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _catalog(self):
-        catalog = getattr(self.adapter, "catalog", None)
-        if catalog is not None:
-            return catalog
-        database = getattr(self.adapter, "database", None)
-        if database is not None:
-            return database.catalog
-        from ..storage.catalog import Catalog
-
-        return Catalog()
-
-    def _fuse_expression_hook(self, report: QFusorReport):
-        """An (expr, fields) -> expr callback for the SQL-rewrite path."""
-
-        def hook(expr: ast.Expr, fields: Sequence[Field]) -> ast.Expr:
-            holder = _SchemaHolder(fields)
-            outcome = FusionOutcome(None)
-            fused = self.fuser._fuse_expr(expr, holder, outcome)
-            report.fused.extend(outcome.fused)
-            report.cache_hits += outcome.cache_hits
-            return fused
-
-        return hook
 
     def _involves_udfs(self, statement: ast.Statement) -> bool:
         registry = self.adapter.registry
@@ -1027,6 +907,21 @@ class _SchemaHolder:
 
     def __init__(self, fields: Sequence[Field]):
         self.schema = tuple(fields)
+
+
+def referenced_udfs(statement: ast.Statement, registry: Any) -> List[str]:
+    """Lower-cased names of the registered UDFs ``statement`` calls, in
+    first-reference order."""
+    names: List[str] = []
+    for expr in _statement_expressions(statement):
+        for node in ast.walk_expr(expr):
+            if (
+                isinstance(node, ast.FunctionCall)
+                and node.name in registry
+                and node.lowered_name not in names
+            ):
+                names.append(node.lowered_name)
+    return names
 
 
 def _statement_expressions(statement: ast.Statement):

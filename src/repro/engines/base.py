@@ -62,6 +62,13 @@ class EngineAdapter:
     def resolver(self):
         raise NotImplementedError
 
+    @property
+    def catalog(self):
+        """The table catalog (schemas and snapshot epochs) the client
+        layers read.  The mini-engine family exposes its database's;
+        engines with external storage override this."""
+        return self.database.catalog
+
     # -- process isolation -------------------------------------------------
 
     @property

@@ -66,11 +66,15 @@ class SqliteAdapter(EngineAdapter):
         self._pending_error: Optional[BaseException] = None
         #: Schema-only catalog so QFusor's SQL-rewrite path can resolve
         #: column types without round-tripping to SQLite.
-        self.catalog = Catalog()
+        self._catalog = Catalog()
 
     @property
     def registry(self) -> UdfRegistry:
         return self._registry
+
+    @property
+    def catalog(self):
+        return self._catalog
 
     @property
     def resolver(self):
@@ -102,7 +106,7 @@ class SqliteAdapter(EngineAdapter):
         )
         self.connection.commit()
         self._schemas[table.name.lower()] = list(table.schema)
-        self.catalog.register(
+        self._catalog.register(
             Table.empty(table.name, list(table.schema)), replace=True
         )
 

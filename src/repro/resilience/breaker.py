@@ -176,8 +176,8 @@ class BreakerBoard:
     """The per-registry collection of circuit breakers, keyed by UDF name.
 
     Lives on :class:`~repro.udf.registry.UdfRegistry` next to the
-    :class:`~repro.udf.state.StatsStore`; QFusor configures thresholds
-    from :class:`~repro.core.config.QFusorConfig` at attach time.
+    :class:`~repro.udf.state.StatsStore`, shared by every client of
+    the adapter; off until its owner calls :meth:`configure`.
     """
 
     def __init__(

@@ -585,11 +585,8 @@ class WorkerPool:
     # -- configuration -------------------------------------------------
 
     def configure(self, **knobs: Any) -> None:
-        """Apply supervision knobs (QFusor config propagation).
-
-        ``None`` values leave the pool's current setting untouched, so
-        a default QFusorConfig does not clobber adapter-level knobs.
-        """
+        """Apply supervision knobs; ``None`` values leave the pool's
+        current setting untouched."""
         allowed = (
             "max_restarts", "restart_backoff_s", "memory_limit_mb",
             "max_batch_retries", "quarantine_policy", "batch_timeout_s",

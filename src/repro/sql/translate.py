@@ -1132,10 +1132,11 @@ class UdfTranslator:
         no table UDFs in FROM) translated; otherwise ``failures`` says
         why and the caller falls back to fusion.
         """
+        from ..core.qfusor import referenced_udfs
         from ..core.rewrite import rewrite_statement
 
         result = TranslationResult()
-        names = self._referenced_udfs(statement)
+        names = referenced_udfs(statement, self.registry)
         if not names:
             result.failures[""] = Untranslatable("no UDF references")
             return result
@@ -1183,24 +1184,10 @@ class UdfTranslator:
                 return t.substitute(rewritten.args)
         return rewritten
 
-    def _referenced_udfs(self, statement: ast.Statement) -> List[str]:
-        from ..core.qfusor import _statement_expressions
-
-        names: List[str] = []
-        for expr in _statement_expressions(statement):
-            for node in ast.walk_expr(expr):
-                if (
-                    isinstance(node, ast.FunctionCall)
-                    and node.name in self.registry
-                    and node.lowered_name not in names
-                ):
-                    names.append(node.lowered_name)
-        return names
-
     def _leftover_udfs(self, statement: ast.Statement) -> List[str]:
-        from ..core.qfusor import _statement_from_items
+        from ..core.qfusor import _statement_from_items, referenced_udfs
 
-        names = self._referenced_udfs(statement)
+        names = referenced_udfs(statement, self.registry)
         for item in _statement_from_items(statement):
             if isinstance(item, ast.TableFunctionRef):
                 names.append(item.call.lowered_name)

@@ -650,21 +650,11 @@ def attach_to_adapter(
 ) -> RecoveryReport:
     """Create a manager for ``directory`` and attach it to an adapter.
 
-    Resolves the adapter's catalog (``adapter.catalog`` or
-    ``adapter.database.catalog``) and registry, recovers into them, and
-    stores the manager as ``adapter.durability`` so
+    Recovers into the adapter's catalog and registry, and stores the
+    manager as ``adapter.durability`` so
     :meth:`~repro.engines.base.EngineAdapter.close` tears it down.
     """
-    catalog = getattr(adapter, "catalog", None)
-    if catalog is None:
-        database = getattr(adapter, "database", None)
-        if database is None:
-            raise RecoveryError(
-                f"adapter {adapter!r} exposes no catalog to attach to"
-            )
-        catalog = database.catalog
-    registry = adapter.registry
     manager = DurabilityManager(directory, **knobs)
-    report = manager.attach(catalog, registry)
+    report = manager.attach(adapter.catalog, adapter.registry)
     adapter.durability = manager
     return report

@@ -78,16 +78,52 @@ class RegisteredUdf:
         channel = self._registry.channel
         return payload if channel is None else channel.transfer(payload)
 
-    def _pool(self):
-        """The adapter's process-isolation worker pool, when routing.
+    def _kernel_policy(self):
+        """The columnar policy when a batch may run on the typed-buffer
+        kernels: the plane is enabled and there is no worker pool or
+        modeled channel whose boundary a kernel would skip."""
+        registry = self._registry
+        policy = registry.columnar
+        if (
+            policy is not None
+            and policy.enabled
+            and registry.workers is None
+            and registry.channel is None
+        ):
+            return policy
+        return None
 
-        When a pool is attached the batch executes in a real worker
-        process (the pipe *is* the serialization boundary), so the
-        modeled pickle channel is skipped; the pool's degrade paths fall
-        back to plain in-process execution through the ``fallback``
-        closures below.
+    def _invoke_batch(self, kind: str, entry: Callable[..., Any],
+                      inputs: Sequence[Column], size: int,
+                      *extra: Any) -> Tuple[Any, float]:
+        """Take one batch across the UDF boundary; ``(c_result, seconds)``.
+
+        Columns become C buffers and ``entry`` (a wrapper entry point)
+        runs on them under governance.  With a process-isolation pool
+        attached the batch executes in a real worker process (the pipe
+        *is* the serialization boundary, and the pool enforces its own
+        batch cap), so the modeled pickle channel is crossed only on the
+        pool's in-process degrade path.  Without one, inputs and outputs
+        round-trip the channel, when the registry models one.
         """
-        return self._registry.workers
+        raw = [boundary.column_to_c(col) for col in inputs]
+
+        def in_process(c_inputs):
+            return self._cross(entry(c_inputs, size, *extra))
+
+        pool = self._registry.workers
+        if pool is None:
+            c_inputs = self._cross(raw)
+            return self._guarded(lambda: in_process(c_inputs), size)
+        return self._guarded(
+            lambda: pool.run_batch(
+                self.definition, kind, (raw, size, *extra),
+                fallback=lambda: in_process(self._cross(raw)),
+                size=size,
+            ),
+            size,
+            arm_cap=False,
+        )
 
     def _guarded(self, runner: Callable[[], Any], size: int,
                  arm_cap: bool = True) -> Tuple[Any, float]:
@@ -167,14 +203,8 @@ class RegisteredUdf:
                 hit, cached = memo.lookup(memo_key)
                 if hit:
                     return cached
-        pool = self._pool()
-        policy = self._registry.columnar
-        if (
-            policy is not None
-            and policy.enabled
-            and pool is None
-            and self._registry.channel is None
-        ):
+        policy = self._kernel_policy()
+        if policy is not None:
             from ..columnar import kernels
 
             if kernels.eligible(self.definition):
@@ -192,26 +222,9 @@ class RegisteredUdf:
                     return column
                 # Kernel deopt: re-run the batch on the classic path below
                 # (row-error policies and exact error semantics live there).
-        if pool is not None:
-            raw = [boundary.column_to_c(col) for col in inputs]
-            c_result, elapsed = self._guarded(
-                lambda: pool.run_batch(
-                    self.definition, "scalar", (raw, size),
-                    fallback=lambda: self._cross(
-                        self.wrapper.entry(self._cross(raw), size)
-                    ),
-                    size=size,
-                ),
-                size,
-                arm_cap=False,
-            )
-        else:
-            c_inputs = self._cross(
-                [boundary.column_to_c(col) for col in inputs]
-            )
-            c_result, elapsed = self._guarded(
-                lambda: self._cross(self.wrapper.entry(c_inputs, size)), size
-            )
+        c_result, elapsed = self._invoke_batch(
+            "scalar", self.wrapper.entry, inputs, size
+        )
         self._registry.stats.observe(self.name, size, size, elapsed)
         column = boundary.c_values_to_column(
             self.name, self.definition.signature.return_types[0], c_result
@@ -237,7 +250,7 @@ class RegisteredUdf:
                 hit, cached = memo.lookup(memo_key)
                 if hit:
                     return cached
-        pool = self._pool()
+        pool = self._registry.workers
 
         def invoke() -> Any:
             if pool is not None:
@@ -282,14 +295,8 @@ class RegisteredUdf:
 
         Returns one engine-side value per group.
         """
-        pool = self._pool()
-        policy = self._registry.columnar
-        if (
-            policy is not None
-            and policy.enabled
-            and pool is None
-            and self._registry.channel is None
-        ):
+        policy = self._kernel_policy()
+        if policy is not None:
             from ..columnar import kernels
 
             if kernels.aggregate_eligible(self.definition):
@@ -306,32 +313,10 @@ class RegisteredUdf:
                     )
                     return values
                 # Kernel deopt: classic path below owns error semantics.
-        if pool is not None:
-            raw = [boundary.column_to_c(col) for col in inputs]
-            c_result, elapsed = self._guarded(
-                lambda: pool.run_batch(
-                    self.definition, "aggregate",
-                    (raw, size, tuple(group_ids), num_groups),
-                    fallback=lambda: self._cross(
-                        self.wrapper.entry(
-                            self._cross(raw), size, group_ids, num_groups
-                        )
-                    ),
-                    size=size,
-                ),
-                size,
-                arm_cap=False,
-            )
-        else:
-            c_inputs = self._cross(
-                [boundary.column_to_c(col) for col in inputs]
-            )
-            c_result, elapsed = self._guarded(
-                lambda: self._cross(
-                    self.wrapper.entry(c_inputs, size, group_ids, num_groups)
-                ),
-                size,
-            )
+        c_result, elapsed = self._invoke_batch(
+            "aggregate", self.wrapper.entry, inputs, size,
+            group_ids, num_groups,
+        )
         self._registry.stats.observe(self.name, size, num_groups, elapsed)
         out_type = self.definition.signature.return_types[0]
         return [boundary.c_to_engine(v, out_type) for v in c_result]
@@ -340,39 +325,27 @@ class RegisteredUdf:
         self, inputs: Sequence[Column], size: int, const_args: Sequence[Any] = ()
     ) -> List[Column]:
         """Run a table UDF in relation mode; returns its output columns."""
-        in_types = tuple(col.sql_type for col in inputs)
-        pool = self._pool()
-        if pool is not None:
-            raw = [boundary.column_to_c(col) for col in inputs]
-            c_columns, elapsed = self._guarded(
-                lambda: pool.run_batch(
-                    self.definition, "table",
-                    (raw, size, in_types, tuple(const_args)),
-                    fallback=lambda: self._cross(
-                        self.wrapper.entry(
-                            self._cross(raw), size, in_types,
-                            tuple(const_args),
-                        )
-                    ),
-                    size=size,
-                ),
-                size,
-                arm_cap=False,
-            )
-        else:
-            c_inputs = self._cross(
-                [boundary.column_to_c(col) for col in inputs]
-            )
-            c_columns, elapsed = self._guarded(
-                lambda: self._cross(
-                    self.wrapper.entry(
-                        c_inputs, size, in_types, tuple(const_args)
-                    )
-                ),
-                size,
-            )
+        c_columns, elapsed = self._invoke_batch(
+            "table", self.wrapper.entry, inputs, size,
+            tuple(col.sql_type for col in inputs), tuple(const_args),
+        )
         out_rows = len(c_columns[0]) if c_columns else 0
         self._registry.stats.observe(self.name, size, out_rows, elapsed)
+        return self._out_columns(c_columns)
+
+    def call_table_expand(
+        self, inputs: Sequence[Column], size: int, const_args: Sequence[Any] = ()
+    ) -> Tuple[List[int], List[Column]]:
+        """Run a table UDF in expand mode; returns (row lineage, columns)."""
+        (lineage, c_columns), elapsed = self._invoke_batch(
+            "table_expand", self.wrapper.expand_entry, inputs, size,
+            tuple(col.sql_type for col in inputs), tuple(const_args),
+        )
+        self._registry.stats.observe(self.name, size, len(lineage), elapsed)
+        return list(lineage), self._out_columns(c_columns)
+
+    def _out_columns(self, c_columns: Sequence[Any]) -> List[Column]:
+        """A table UDF's C result buffers as engine columns."""
         return [
             boundary.c_values_to_column(name, sql_type, values)
             for name, sql_type, values in zip(
@@ -381,52 +354,6 @@ class RegisteredUdf:
                 c_columns,
             )
         ]
-
-    def call_table_expand(
-        self, inputs: Sequence[Column], size: int, const_args: Sequence[Any] = ()
-    ) -> Tuple[List[int], List[Column]]:
-        """Run a table UDF in expand mode; returns (row lineage, columns)."""
-        in_types = tuple(col.sql_type for col in inputs)
-        pool = self._pool()
-        if pool is not None:
-            raw = [boundary.column_to_c(col) for col in inputs]
-            (lineage, c_columns), elapsed = self._guarded(
-                lambda: pool.run_batch(
-                    self.definition, "table_expand",
-                    (raw, size, in_types, tuple(const_args)),
-                    fallback=lambda: self._cross(
-                        self.wrapper.expand_entry(
-                            self._cross(raw), size, in_types,
-                            tuple(const_args),
-                        )
-                    ),
-                    size=size,
-                ),
-                size,
-                arm_cap=False,
-            )
-        else:
-            c_inputs = self._cross(
-                [boundary.column_to_c(col) for col in inputs]
-            )
-            (lineage, c_columns), elapsed = self._guarded(
-                lambda: self._cross(
-                    self.wrapper.expand_entry(
-                        c_inputs, size, in_types, tuple(const_args)
-                    )
-                ),
-                size,
-            )
-        self._registry.stats.observe(self.name, size, len(lineage), elapsed)
-        columns = [
-            boundary.c_values_to_column(name, sql_type, values)
-            for name, sql_type, values in zip(
-                self.definition.out_columns,
-                self.definition.signature.return_types,
-                c_columns,
-            )
-        ]
-        return list(lineage), columns
 
 
 class ProcessChannel:
@@ -491,7 +418,7 @@ class UdfRegistry:
         #: when attached and enabled, eligible scalar batches run on the
         #: batch-at-a-time kernel path instead of the per-row wrapper.
         self.columnar: Optional[Any] = None
-        #: Per-UDF circuit breakers (disabled until configured by QFusor).
+        #: Per-UDF circuit breakers (disabled until ``breakers.configure``).
         self.breakers = BreakerBoard()
         #: CREATE FUNCTION statements issued so far (for inspection).
         self.create_statements: List[str] = []

@@ -1,5 +1,9 @@
 """Unit tests for the SQL-rewrite path and the configuration profiles."""
 
+import dataclasses
+import pathlib
+import re
+
 import pytest
 
 from repro.core import QFusorConfig
@@ -124,3 +128,48 @@ class TestConfigProfiles:
         config = QFusorConfig(filter_fusion_min_keep=0.8)
         # the heuristics test covers behaviour; here the knob must exist
         assert config.filter_fusion_min_keep == 0.8
+
+
+#: Fields that left ``QFusorConfig``: 14 forwarded to objects that own
+#: the setting (``adapter.channel``, the adapter's worker pool,
+#: ``adapter.registry.breakers``) and 8 that nothing ever varied.
+REMOVED_KNOBS = (
+    "channel_timeout", "channel_retries", "channel_backoff",
+    "worker_max_batch_retries", "worker_quarantine_policy",
+    "worker_max_restarts", "worker_memory_limit_mb",
+    "worker_batch_timeout_s",
+    "breaker_enabled", "breaker_window", "breaker_min_calls",
+    "breaker_failure_threshold", "breaker_latency_threshold_s",
+    "breaker_cooldown_s",
+    "distinct_fusion_min_drop", "trace_cache_capacity",
+    "plan_cache_capacity", "udf_memo_capacity", "udf_memo_min_cost_s",
+    "result_cache_capacity", "translate_self_check",
+    "translate_max_inline_depth",
+)
+
+
+class TestKnobRatchet:
+    def test_field_count_only_goes_down(self):
+        assert len(dataclasses.fields(QFusorConfig)) <= 27
+        assert len(set(REMOVED_KNOBS)) == 22
+
+    @pytest.mark.parametrize("name", REMOVED_KNOBS)
+    def test_removed_knobs_are_rejected(self, name):
+        """No silent ``**kwargs`` sink and no deprecated alias: a removed
+        knob is a TypeError, so a stale caller finds out at once."""
+        with pytest.raises(TypeError):
+            QFusorConfig(**{name: 1})
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+    def test_docs_do_not_list_removed_knobs(self, doc):
+        text = (pathlib.Path(__file__).parents[2] / doc).read_text()
+        for name in REMOVED_KNOBS:
+            if name.startswith("worker_"):
+                # RowStoreAdapter's own constructor kwargs keep these
+                # names; only the QFusorConfig spelling is gone.
+                stale = re.search(
+                    rf"QFusorConfig\([^)]*\b{name}\b|config\.{name}\b", text
+                )
+            else:
+                stale = re.search(rf"\b{name}\b", text)
+            assert stale is None, f"{doc} still documents {name!r}"

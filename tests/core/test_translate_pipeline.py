@@ -15,11 +15,11 @@ import pytest
 
 from repro.core import QFusor
 from repro.core.config import QFusorConfig
-from repro.engine.database import Database
-from repro.engines.minidb import MiniDbAdapter
+from repro.engines import MiniDbAdapter, SqliteAdapter
 from repro.obs import METRICS, tracer
 from repro.sql import ast_nodes as ast
 from repro.storage import Column, Table
+from repro.testing import FaultInjector, inject
 from repro.types import SqlType
 from repro.udf.decorators import scalar_udf
 
@@ -47,8 +47,8 @@ def p_plain(x):
 VALUES = [1, -2, None, 5, 0]
 
 
-def _qfusor(config=None, *udfs):
-    adapter = MiniDbAdapter(Database())
+def _qfusor(config=None, *udfs, adapter_cls=MiniDbAdapter):
+    adapter = adapter_cls()
     adapter.register_table(
         Table("t", [Column("v", SqlType.INT, list(VALUES))])
     )
@@ -197,19 +197,43 @@ class TestPlanCacheIntegration:
         assert qf.last_report.translate_events[-1].reason != "plan-cache"
         assert out.columns[0].to_list() == [31, 28, None, 35, 30]
 
-    def test_failed_dispatch_stores_no_plan_entry(self):
-        qf = _qfusor(QFusorConfig.translated(**self.CONFIG))
-        TestRuntimeDeopt._arm_fault(
-            TestRuntimeDeopt(), qf, RuntimeError("boom")
-        )
-        qf.execute("SELECT p_add(v) FROM t")
-        assert qf.last_report.translate_outcome() == "deopt"
-        # The fused fallback may legitimately cache its own plan, but
-        # the poisoned translation must not be re-servable.
-        kinds = [
-            entry.kind for _k, entry in qf.caches.plan._entries.items()
-        ]
-        assert "translated" not in kinds
+    @pytest.mark.parametrize(
+        "rung", ["translated", "fused-path2", "rewritten-path1"]
+    )
+    def test_failed_dispatch_stores_no_plan_entry(self, rung):
+        """One population rule for every entry kind: a walk that
+        de-optimized stores nothing; the next clean run stores and the
+        one after hits."""
+        sql = "SELECT p_add(p_add(v)) FROM t"
+        if rung == "translated":
+            qf = _qfusor(QFusorConfig.translated(**self.CONFIG))
+            TestRuntimeDeopt._arm_fault(
+                TestRuntimeDeopt(), qf, RuntimeError("boom")
+            )
+            qf.execute(sql)
+            assert qf.last_report.translate_outcome() == "deopt"
+        else:
+            adapter_cls = (
+                MiniDbAdapter if rung == "fused-path2" else SqliteAdapter
+            )
+            qf = _qfusor(
+                QFusorConfig(row_error_policy="raise", **self.CONFIG),
+                adapter_cls=adapter_cls,
+            )
+            with inject(FaultInjector().udf_exception("p_add", times=1)):
+                qf.execute(sql)
+            assert qf.last_report.fused, "query must fuse to test deopt"
+        report = qf.last_report
+        assert report.deopted and report.deopt_events[-1].recovered
+        assert len(qf.caches.plan) == 0
+        assert report.cache_outcome("plan") != "store"
+        expected = [21, 18, None, 25, 20]
+        assert qf.execute(sql).columns[0].to_list() == expected
+        assert not qf.last_report.deopted
+        assert qf.last_report.cache_outcome("plan") == "store"
+        assert len(qf.caches.plan) == 1
+        assert qf.execute(sql).columns[0].to_list() == expected
+        assert qf.last_report.cache_outcome("plan") == "hit"
 
 
 class TestDisabledPath:

@@ -130,18 +130,19 @@ class TestBreakerBoard:
         assert board.refusing(["bad", "good", "unseen"]) == ["bad"]
 
 
-def breaker_config(**overrides):
-    base = dict(
-        breaker_enabled=True,
-        breaker_window=8,
-        breaker_min_calls=2,
-        breaker_failure_threshold=0.5,
-        breaker_cooldown_s=60.0,  # stays open for the whole test
-        row_error_policy="raise",
-        deopt=False,
+def breaker_config(adapter, latency_threshold_s=None, **overrides):
+    """Switch the adapter's breakers on — thresholds belong to their
+    owner, the registry's board — and return the QFusor config the
+    breaker scenarios run under."""
+    adapter.registry.breakers.configure(
+        enabled=True,
+        window=8,
+        min_calls=2,
+        failure_threshold=0.5,
+        latency_threshold_s=latency_threshold_s,
+        cooldown_s=60.0,  # stays open for the whole test
     )
-    base.update(overrides)
-    return QFusorConfig(**base)
+    return QFusorConfig(row_error_policy="raise", deopt=False, **overrides)
 
 
 class TestBreakerPolicies:
@@ -153,7 +154,7 @@ class TestBreakerPolicies:
     def test_fail_fast_raises_circuit_open_without_running(self):
         adapter = load(MiniDbAdapter())
         adapter.register_udf(b_flaky, replace=True)
-        qfusor = QFusor(adapter, breaker_config(breaker_policy="fail_fast"))
+        qfusor = QFusor(adapter, breaker_config(adapter, breaker_policy="fail_fast"))
         sql = "SELECT b_flaky(a) FROM numbers"
         self.trip(qfusor, sql)
         start = time.monotonic()
@@ -166,7 +167,7 @@ class TestBreakerPolicies:
     def test_fail_fast_leaves_unrelated_udfs_alone(self):
         adapter = load(MiniDbAdapter())
         adapter.register_udf(b_flaky, replace=True)
-        qfusor = QFusor(adapter, breaker_config(breaker_policy="fail_fast"))
+        qfusor = QFusor(adapter, breaker_config(adapter, breaker_policy="fail_fast"))
         self.trip(qfusor, "SELECT b_flaky(a) FROM numbers")
         table = qfusor.execute("SELECT g_inc(a) AS v FROM numbers")
         assert sorted(r[0] for r in table.to_rows()) == [1, 2, 3, 4, 5, 6]
@@ -179,8 +180,9 @@ class TestBreakerPolicies:
         qfusor = QFusor(
             adapter,
             breaker_config(
+                adapter,
                 breaker_policy="unfused",
-                breaker_latency_threshold_s=0.001,
+                latency_threshold_s=0.001,
             ),
         )
         sql = "SELECT b_sluggish(a) AS v FROM numbers"
@@ -199,7 +201,7 @@ class TestBreakerPolicies:
         qfusor = QFusor(
             adapter,
             breaker_config(
-                breaker_policy="fail_fast", query_timeout_s=30.0
+                adapter, breaker_policy="fail_fast", query_timeout_s=30.0
             ),
         )
         sql = "SELECT b_flaky(a) FROM numbers"

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from repro.core import QFusor, QFusorConfig
+from repro.core import QFusor
 from repro.engines import RowStoreAdapter
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.resilience import QueryContext, govern
@@ -96,14 +96,37 @@ class TestRowStoreIntegration:
         adapter = self.make_adapter()
         assert isinstance(adapter.channel, ResilientChannel)
 
-    def test_config_knobs_propagate_to_channel(self):
-        adapter = self.make_adapter()
-        QFusor(adapter, QFusorConfig(
-            channel_timeout=1.5, channel_retries=5, channel_backoff=0.0,
-        ))
-        assert adapter.channel.timeout == 1.5
-        assert adapter.channel.retries == 5
-        assert adapter.channel.backoff == 0.0
+    def test_default_clients_leave_adapter_settings_alone(self):
+        """The channel, the worker pool and the breaker board are
+        configured on their owner; attaching default clients (a second
+        one included — the board is shared by every client of the
+        adapter) must write to none of them."""
+        adapter = RowStoreAdapter(
+            isolation="process",
+            worker_max_batch_retries=1,
+            worker_batch_timeout_s=2.5,
+        )
+        try:
+            adapter.channel.configure(retries=1, backoff=0.0, timeout=9.0)
+            adapter.registry.breakers.configure(
+                enabled=True, window=8, min_calls=2, cooldown_s=60.0
+            )
+            QFusor(adapter)
+            QFusor(adapter)
+            channel = adapter.channel
+            assert (channel.retries, channel.backoff, channel.timeout) == (
+                1, 0.0, 9.0
+            )
+            pool = adapter.workers
+            assert pool.max_batch_retries == 1
+            assert pool.batch_timeout_s == 2.5
+            board = adapter.registry.breakers
+            assert board.enabled
+            assert (board.window, board.min_calls, board.cooldown_s) == (
+                8, 2, 60.0
+            )
+        finally:
+            adapter.close()
 
     def test_batch_invocation_correct_under_channel_faults(self):
         adapter = self.make_adapter()
