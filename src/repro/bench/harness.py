@@ -93,58 +93,38 @@ def _sql_system(name: str, adapter, qfusor: Optional[QFusor]) -> SystemUnderTest
     return SystemUnderTest(name, lambda q: adapter.execute_sql(ALL_SQL[q]))
 
 
-def build_engine_systems(
-    scale: str,
-    names: Sequence[str] = (
-        "qfusor", "yesql", "minidb", "tupledb", "rowstore", "duckdb", "dbx",
-    ),
-) -> Dict[str, SystemUnderTest]:
-    """SQL-engine systems for the cross-system figures.
+#: SQL-engine systems: name -> (adapter factory, ``QFusorConfig`` factory
+#: for the QFusor wrapped around it, or ``None`` to run natively).
+ENGINE_SYSTEMS: Dict[str, Tuple[Callable[[], Any], Optional[Callable]]] = {
+    # QFusor (full) on the vectorized column store
+    "qfusor": (MiniDbAdapter, QFusorConfig),
+    # QFusor restricted to the YeSQL profile
+    "yesql": (MiniDbAdapter, QFusorConfig.yesql_like),
+    # the vectorized engine natively (MonetDB-with-Python-UDF)
+    "minidb": (MiniDbAdapter, None),
+    # in-process tuple-at-a-time (SQLite model)
+    "tupledb": (TupleDbAdapter, None),
+    # tuple-at-a-time + out-of-process UDFs (PostgreSQL model)
+    "rowstore": (RowStoreAdapter, None),
+    # vectorized, no UDF JIT (DuckDB model)
+    "duckdb": (DuckDbLikeAdapter, None),
+    # vectorized + 4-thread-parallel relational ops (commercial)
+    "dbx": (ParallelDbAdapter, None),
+}
 
-    ======== =======================================================
-    name      models
-    ======== =======================================================
-    qfusor    QFusor (full) on the vectorized column store
-    yesql     QFusor restricted to the YeSQL profile
-    minidb    the vectorized engine natively (MonetDB-with-Python-UDF)
-    tupledb   in-process tuple-at-a-time (SQLite model)
-    rowstore  tuple-at-a-time + out-of-process UDFs (PostgreSQL model)
-    duckdb    vectorized, no UDF JIT (DuckDB model)
-    dbx       vectorized + thread-parallel relational ops (commercial)
-    ======== =======================================================
-    """
+
+def build_engine_systems(
+    scale: str, names: Sequence[str] = tuple(ENGINE_SYSTEMS)
+) -> Dict[str, SystemUnderTest]:
+    """SQL-engine systems for the cross-system figures."""
     systems: Dict[str, SystemUnderTest] = {}
     for name in names:
-        if name == "qfusor":
-            adapter = setup_adapter(MiniDbAdapter(), scale)
-            systems[name] = _sql_system(name, adapter, QFusor(adapter))
-        elif name == "yesql":
-            adapter = setup_adapter(MiniDbAdapter(), scale)
-            systems[name] = _sql_system(
-                name, adapter, QFusor(adapter, QFusorConfig.yesql_like())
-            )
-        elif name == "minidb":
-            systems[name] = _sql_system(
-                name, setup_adapter(MiniDbAdapter(), scale), None
-            )
-        elif name == "tupledb":
-            systems[name] = _sql_system(
-                name, setup_adapter(TupleDbAdapter(), scale), None
-            )
-        elif name == "rowstore":
-            systems[name] = _sql_system(
-                name, setup_adapter(RowStoreAdapter(), scale), None
-            )
-        elif name == "duckdb":
-            systems[name] = _sql_system(
-                name, setup_adapter(DuckDbLikeAdapter(), scale), None
-            )
-        elif name == "dbx":
-            systems[name] = _sql_system(
-                name, setup_adapter(ParallelDbAdapter(threads=4), scale), None
-            )
-        else:
+        if name not in ENGINE_SYSTEMS:
             raise ValueError(f"unknown engine system {name!r}")
+        make_adapter, make_config = ENGINE_SYSTEMS[name]
+        adapter = setup_adapter(make_adapter(), scale)
+        qfusor = QFusor(adapter, make_config()) if make_config else None
+        systems[name] = _sql_system(name, adapter, qfusor)
     return systems
 
 

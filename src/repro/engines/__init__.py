@@ -5,31 +5,43 @@ Each adapter exposes the same narrow interface
 a structured plan, UDF registration, and execution — either of a
 rewritten plan (path 2) or of rewritten SQL text (path 1).
 
-Profiles provided:
+Two integrations exist.  :class:`~repro.engines.sqlite_adapter.
+SqliteAdapter` drives Python's real stdlib ``sqlite3`` through
+``create_function`` (genuine third-party pluggability, SQL-rewrite path
+only).  Everything else is one adapter over our own engine,
+:class:`~repro.engines.minidb.DatabaseAdapter`, declared as five
+profiles (``name`` keys :data:`repro.core.dialect.DIALECTS`; "pushdown"
+is the optimizer's ``push_filter_below_udf_project``):
 
-* :class:`~repro.engines.minidb.MiniDbAdapter` — our vectorized
-  column-store engine (the MonetDB-style deployment, default);
-* :class:`~repro.engines.minidb_row.RowStoreAdapter` — tuple-at-a-time
-  row store with an out-of-process UDF boundary (PostgreSQL-style);
-* :class:`~repro.engines.sqlite_adapter.SqliteAdapter` — Python's real
-  stdlib ``sqlite3``, registered through ``create_function`` (genuine
-  third-party pluggability);
-* :class:`~repro.engines.tuple_adapter.TupleDbAdapter` — in-process
-  tuple-at-a-time (SQLite-model on our own engine, used where the
-  workloads exceed stdlib-sqlite SQL support);
-* :class:`~repro.engines.parallel_db.ParallelDbAdapter` — multi-threaded
-  relational execution without UDF JIT (the commercial "dbX" profile);
-* :class:`~repro.engines.duckdb_like.DuckDbLikeAdapter` — vectorized,
-  no UDF JIT (DuckDB-style profile).
+===================== ========== =========== ====== ======== ===========
+profile               name       database    model  pushdown models
+===================== ========== =========== ====== ======== ===========
+``MiniDbAdapter``     minidb     minidb      vector yes      MonetDB
+``RowStoreAdapter``   minidb_row minidb_row  tuple  no       PostgreSQL
+``TupleDbAdapter``    sqlite     tupledb     tuple  yes      SQLite
+``DuckDbLikeAdapter`` duckdb     duckdb_like vector yes      DuckDB
+``ParallelDbAdapter`` dbx        dbx         vector yes      "dbX"
+===================== ========== =========== ====== ======== ===========
+
+and what each adds: ``MiniDbAdapter`` (the default host) adopts an
+existing ``database``, recovers a ``durability_dir`` and can start
+``columnar``; ``RowStoreAdapter`` puts a ``ResilientChannel`` on the UDF
+boundary (``isolation="process"``: real worker processes) and takes a
+``durability_dir``; ``ParallelDbAdapter`` gives the database a threaded
+``own_scheduler`` (``threads``).  Worker pools, WAL settings and the
+columnar plane are configured on their owners:
+``adapter.enable_process_isolation(...)`` /
+``adapter.workers.configure(...)``,
+:func:`repro.storage.durability.attach_to_adapter`,
+``adapter.enable_columnar(...)``.
 """
 
 from .base import EngineAdapter
-from .minidb import MiniDbAdapter
-from .minidb_row import RowStoreAdapter
-from .tuple_adapter import TupleDbAdapter
+from .minidb import (
+    DuckDbLikeAdapter, MiniDbAdapter, ParallelDbAdapter, RowStoreAdapter,
+    TupleDbAdapter,
+)
 from .sqlite_adapter import SqliteAdapter
-from .parallel_db import ParallelDbAdapter
-from .duckdb_like import DuckDbLikeAdapter
 
 __all__ = [
     "EngineAdapter", "MiniDbAdapter", "RowStoreAdapter", "TupleDbAdapter",

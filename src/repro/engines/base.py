@@ -46,9 +46,6 @@ class EngineAdapter:
     #: share a SQL dialect (e.g. the tuple adapter parses sqlite SQL)
     #: while their expression *semantics* differ.
     translate_dialect: str = "python"
-    #: The engine runs UDFs in-process (enables exported-internals
-    #: group-by offloading, section 5.3.2).
-    in_process: bool = True
     #: Optional :class:`repro.storage.durability.DurabilityManager`
     #: attached via ``durability_dir=`` or
     #: :func:`repro.storage.durability.attach_to_adapter`.
@@ -74,10 +71,7 @@ class EngineAdapter:
     @property
     def workers(self):
         """The adapter's UDF worker pool, or ``None`` (in-process UDFs)."""
-        try:
-            return self.registry.workers
-        except NotImplementedError:
-            return None
+        return self.registry.workers
 
     def enable_process_isolation(self, **knobs: Any):
         """Route this adapter's UDF batches through supervised worker
@@ -110,10 +104,7 @@ class EngineAdapter:
     @property
     def columnar(self):
         """The adapter's columnar-plane policy, or ``None`` (classic)."""
-        try:
-            return self.registry.columnar
-        except NotImplementedError:
-            return None
+        return self.registry.columnar
 
     def enable_columnar(self, **knobs: Any):
         """Switch this adapter onto the typed-buffer data plane.
@@ -132,12 +123,7 @@ class EngineAdapter:
             policy = ColumnarPolicy()
             self.registry.columnar = policy
         policy.configure(**knobs)
-        pool = self.workers
-        if pool is not None and hasattr(pool, "configure"):
-            pool.configure(buffer_transport=policy.buffer_transport)
-        channel = getattr(self.registry, "channel", None)
-        if channel is not None and hasattr(channel, "configure"):
-            channel.configure(buffer_transport=policy.buffer_transport)
+        self._ship_buffers(policy.buffer_transport)
         return policy
 
     def disable_columnar(self) -> None:
@@ -145,12 +131,16 @@ class EngineAdapter:
         if self.columnar is None:
             return
         self.registry.columnar = None
-        pool = self.workers
-        if pool is not None and hasattr(pool, "configure"):
-            pool.configure(buffer_transport=False)
-        channel = getattr(self.registry, "channel", None)
-        if channel is not None and hasattr(channel, "configure"):
-            channel.configure(buffer_transport=False)
+        self._ship_buffers(False)
+
+    def _ship_buffers(self, on: bool) -> None:
+        """Tell the UDF boundary whether batches cross as typed frames."""
+        pool, channel = self.workers, self.registry.channel
+        if pool is not None:
+            pool.configure(buffer_transport=on)
+        # A bare ``ProcessChannel`` has no transport to configure.
+        if hasattr(channel, "configure"):
+            channel.configure(buffer_transport=on)
 
     def close(self) -> None:
         """Release adapter resources (worker processes, channels, WAL)."""
@@ -184,24 +174,7 @@ class EngineAdapter:
         self, planned: PlannedQuery, *, context: Optional[QueryContext] = None
     ) -> Table:
         """Dispatch a (possibly rewritten) plan to the execution engine."""
-        with contextlib.ExitStack() as stack:
-            sp = None
-            if OBS.tracing:
-                stack.enter_context(
-                    obs_tracer.maybe_trace("query", adapter=self.name)
-                )
-                sp = stack.enter_context(
-                    obs_tracer.span("execute", adapter=self.name)
-                )
-            with govern(
-                self.name, context, query=getattr(planned, "sql", None)
-            ) as gctx:
-                result = self._execute_plan(planned)
-            if sp is not None:
-                sp.attrs["rows"] = result.num_rows
-                if gctx is not None and gctx.tenant is not None:
-                    sp.attrs["tenant"] = gctx.tenant
-            return result
+        return self._governed(self._execute_plan, planned, None, context)
 
     def execute_sql(
         self,
@@ -211,6 +184,12 @@ class EngineAdapter:
     ) -> Table:
         """Execute a SQL statement as-is."""
         query = statement if isinstance(statement, str) else None
+        return self._governed(self._execute_sql, statement, query, context)
+
+    def _governed(self, run, target, query: Optional[str], context) -> Table:
+        """``run(target)`` inside a governance scope and, when tracing is
+        on, an ``execute`` span (under a fresh root trace if none is
+        active)."""
         with contextlib.ExitStack() as stack:
             sp = None
             if OBS.tracing:
@@ -223,7 +202,7 @@ class EngineAdapter:
                     obs_tracer.span("execute", adapter=self.name)
                 )
             with govern(self.name, context, query=query) as gctx:
-                result = self._execute_sql(statement)
+                result = run(target)
             if sp is not None:
                 if result is not None:
                     sp.attrs["rows"] = getattr(result, "num_rows", None)

@@ -50,7 +50,6 @@ class SqliteAdapter(EngineAdapter):
     name = "sqlite"
     supports_plan_dispatch = False  # QFusor uses the SQL-rewrite path
     translate_dialect = "sqlite"  # C-style %, ASCII-only case folding
-    in_process = True
 
     def __init__(self, *, stats: Optional[StatsStore] = None):
         from ..storage.catalog import Catalog

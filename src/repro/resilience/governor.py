@@ -63,6 +63,7 @@ __all__ = [
     "cooperative_sleep",
     "guarded_iter",
     "spawn_shield",
+    "interrupt_shield",
 ]
 
 #: Default cooperative-checkpoint stride (rows between checks).
@@ -348,7 +349,8 @@ class _WatchEntry:
         self.cooperative_at = 0.0
         #: True while the thread is inside ``spawn_shield()`` — starting
         #: new threads, whose half-born state would absorb an async
-        #: raise aimed at this ident (see ``spawn_shield``).
+        #: raise aimed at this ident (see ``spawn_shield``) — or
+        #: ``interrupt_shield()``.
         self.shielded = False
 
 
@@ -482,6 +484,7 @@ class Watchdog:
             # half-born child — killing it before it signals
             # ``_started`` and deadlocking the spawner in the handshake
             # wait.  ``spawn_shield`` delivers cooperatively on exit.
+            # (Or it is inside ``interrupt_shield``, reaping a child.)
             return
         if entry.fired and now - entry.fired_at < self.refire_s:
             return
@@ -654,12 +657,32 @@ def spawn_shield() -> Iterator[None]:
     if entry is None:
         yield
         return
-    entry.shielded = True
+    with interrupt_shield():
+        yield
+    _check_delivering(entry.context)
+
+
+@contextlib.contextmanager
+def interrupt_shield() -> Iterator[None]:
+    """Hold the watchdog's async raise across a section it must not tear.
+
+    Reaping a child is one: an interrupt landing between ``os.waitpid``
+    returning and ``multiprocessing`` storing the exit status leaves the
+    dead child reported alive for the life of the process.  Nothing is
+    delivered on exit — the section may itself be an interrupt's unwind —
+    so the watchdog fires at its next tick if the entry is still due.
+
+    No-op on ungoverned threads.
+    """
+    entry = _current_entry()
+    if entry is None:
+        yield
+        return
+    held, entry.shielded = entry.shielded, True
     try:
         yield
     finally:
-        entry.shielded = False
-    _check_delivering(entry.context)
+        entry.shielded = held
 
 
 def cooperative_sleep(duration: float, slice_s: float = 0.01) -> None:

@@ -67,7 +67,9 @@ from ..errors import (
 )
 from ..obs import DEFAULT_BYTES_BUCKETS, METRICS, OBS
 from ..obs import tracer as obs_tracer
-from .governor import QueryContext, cooperative_sleep
+from .governor import (
+    QueryContext, cooperative_sleep, interrupt_shield, spawn_shield,
+)
 from .governor import current as gov_current
 from .runtime import FAULTS
 
@@ -449,13 +451,16 @@ class _WorkerHandle:
                 pass
         if process is None:
             return None
-        if process.is_alive():
-            process.kill()
-        process.join(timeout=2.0)
-        exitcode = process.exitcode
-        # Release the Process object's pipe/sentinel resources.
-        if hasattr(process, "close") and exitcode is not None:
-            process.close()
+        # Shielded: this often runs as a deadline's unwind, and the
+        # watchdog's refire landing mid-reap would lose the exit status.
+        with interrupt_shield():
+            if process.is_alive():
+                process.kill()
+            process.join(timeout=2.0)
+            exitcode = process.exitcode
+            # Release the Process object's pipe/sentinel resources.
+            if hasattr(process, "close") and exitcode is not None:
+                process.close()
         return exitcode
 
 
@@ -701,21 +706,26 @@ class WorkerPool:
             self.memory_limit_mb * (1 << 20)
             if self.memory_limit_mb else None
         )
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        process = self._mp.Process(
-            target=_worker_main,
-            args=(child_conn, limit_bytes),
-            name=f"repro-udf-worker-{worker.index}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # the child's end lives only in the child now
-        worker.process = process
-        worker.conn = parent_conn
-        worker.generation += 1
-        worker.installed.clear()
-        worker.last_seen = time.monotonic()
-        self._ensure_supervisor()
+        # Shielded: a watchdog interrupt landing between the fork and
+        # the handle recording the child would orphan a live worker that
+        # no ``kill``/``shutdown`` can reach (and ``_ensure_supervisor``
+        # starts a thread).  A held interrupt is raised on exit.
+        with spawn_shield():
+            parent_conn, child_conn = self._mp.Pipe(duplex=True)
+            process = self._mp.Process(
+                target=_worker_main,
+                args=(child_conn, limit_bytes),
+                name=f"repro-udf-worker-{worker.index}",
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()  # the child's end lives only in the child
+            worker.process = process
+            worker.conn = parent_conn
+            worker.generation += 1
+            worker.installed.clear()
+            worker.last_seen = time.monotonic()
+            self._ensure_supervisor()
 
     def shutdown(self) -> None:
         """Stop the supervisor and tear down every worker.  Idempotent;

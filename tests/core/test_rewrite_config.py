@@ -1,12 +1,17 @@
 """Unit tests for the SQL-rewrite path and the configuration profiles."""
 
 import dataclasses
+import inspect
 import pathlib
 import re
 
 import pytest
 
 from repro.core import QFusorConfig
+from repro.engines import (
+    DuckDbLikeAdapter, MiniDbAdapter, ParallelDbAdapter, RowStoreAdapter,
+    TupleDbAdapter,
+)
 from repro.core.rewrite import rewrite_statement, rewrite_sql
 from repro.sql import ast, parse, to_sql
 from repro.storage import Catalog, Table
@@ -148,6 +153,26 @@ REMOVED_KNOBS = (
 )
 
 
+#: Constructor parameters that left the mini-engine adapters.  The
+#: ``worker_*`` names were spellings only the adapters had, so docs must
+#: not mention them at all; the rest are still real parameters of their
+#: owners (``DurabilityManager``, ``ColumnarPolicy``) and are stale only
+#: inside an adapter constructor call.
+REMOVED_ADAPTER_ALIASES = (
+    "worker_pool_size", "worker_memory_limit_mb", "worker_max_restarts",
+    "worker_max_batch_retries", "worker_quarantine_policy",
+    "worker_batch_timeout_s",
+)
+REMOVED_ADAPTER_FORWARDERS = (
+    "wal_enabled", "wal_fsync", "checkpoint_threshold",
+    "checkpoint_interval_s", "morsel_size", "buffer_transport",
+)
+ADAPTER_FAMILY = (
+    MiniDbAdapter, RowStoreAdapter, TupleDbAdapter, DuckDbLikeAdapter,
+    ParallelDbAdapter,
+)
+
+
 class TestKnobRatchet:
     def test_field_count_only_goes_down(self):
         assert len(dataclasses.fields(QFusorConfig)) <= 27
@@ -160,16 +185,38 @@ class TestKnobRatchet:
         with pytest.raises(TypeError):
             QFusorConfig(**{name: 1})
 
+    def test_adapter_constructors_only_shrink(self):
+        """The ledger builds adapters by signature inspection, so a
+        ``**kwargs`` sink would swallow knobs it must report dropped."""
+        names = set()
+        for cls in ADAPTER_FAMILY:
+            params = inspect.signature(cls).parameters.values()
+            assert not any(p.kind is p.VAR_KEYWORD for p in params), cls
+            names.update(p.name for p in params)
+            assert not hasattr(cls, "in_process"), cls
+        assert len(names) <= 7
+        # ``columnar`` by that name, and only where a caller varies it.
+        assert [
+            cls for cls in ADAPTER_FAMILY
+            if "columnar" in inspect.signature(cls).parameters
+        ] == [MiniDbAdapter]
+
+    @pytest.mark.parametrize(
+        "name",
+        REMOVED_ADAPTER_ALIASES + REMOVED_ADAPTER_FORWARDERS
+        + ("morsel_threads",),
+    )
+    def test_removed_adapter_parameters_are_rejected(self, name):
+        for cls in ADAPTER_FAMILY:
+            with pytest.raises(TypeError):
+                cls(**{name: 1})
+
     @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
     def test_docs_do_not_list_removed_knobs(self, doc):
         text = (pathlib.Path(__file__).parents[2] / doc).read_text()
-        for name in REMOVED_KNOBS:
-            if name.startswith("worker_"):
-                # RowStoreAdapter's own constructor kwargs keep these
-                # names; only the QFusorConfig spelling is gone.
-                stale = re.search(
-                    rf"QFusorConfig\([^)]*\b{name}\b|config\.{name}\b", text
-                )
-            else:
-                stale = re.search(rf"\b{name}\b", text)
+        for name in set(REMOVED_KNOBS + REMOVED_ADAPTER_ALIASES):
+            stale = re.search(rf"\b{name}\b", text)
             assert stale is None, f"{doc} still documents {name!r}"
+        for name in REMOVED_ADAPTER_FORWARDERS:
+            stale = re.search(rf"\w+Adapter\([^)]*\b{name}\b", text)
+            assert stale is None, f"{doc} still passes {name!r} to an adapter"

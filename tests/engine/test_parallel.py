@@ -126,7 +126,8 @@ class TestParallelMapErrorSemantics:
 
 def people_adapter(threads):
     # Morsels far smaller than the table so sharding actually kicks in.
-    adapter = ParallelDbAdapter(threads=threads, morsel_size=16)
+    adapter = ParallelDbAdapter(threads=threads)
+    adapter.database.own_scheduler.morsel_size = 16
     for udf in TEST_UDFS:
         adapter.register_udf(udf)
     rows = []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import QFusor
+from repro.engine import Database
 from repro.engines import (
     DuckDbLikeAdapter, MiniDbAdapter, ParallelDbAdapter, RowStoreAdapter,
     TupleDbAdapter,
@@ -47,6 +48,59 @@ class TestAdapterParity:
         assert qfusor.execute(sql).to_rows() == reference
 
 
+#: (adapter.name, database.name, execution_model,
+#: push_filter_below_udf_project, registry.channel is None,
+#: own_scheduler threads, supports_plan_dispatch, translate_dialect) of
+#: each profile, as the six separate adapter modules declared them.
+PROFILES = {
+    MiniDbAdapter:
+        ("minidb", "minidb", "vector", True, True, None, True, "python"),
+    RowStoreAdapter:
+        ("minidb_row", "minidb_row", "tuple", False, False, None, True,
+         "python"),
+    TupleDbAdapter:
+        ("sqlite", "tupledb", "tuple", True, True, None, True, "python"),
+    DuckDbLikeAdapter:
+        ("duckdb", "duckdb_like", "vector", True, True, None, True,
+         "python"),
+    ParallelDbAdapter:
+        ("dbx", "dbx", "vector", True, True, 4, True, "python"),
+}
+
+
+class TestProfiles:
+    @pytest.mark.parametrize("factory", ADAPTER_FACTORIES)
+    def test_profile_is_what_the_separate_adapter_declared(self, factory):
+        adapter = factory()
+        database = adapter.database
+        own = database.own_scheduler
+        assert (
+            adapter.name,
+            database.name,
+            database.execution_model,
+            database.optimizer.profile.push_filter_below_udf_project,
+            adapter.registry.channel is None,
+            own.threads if own is not None else None,
+            adapter.supports_plan_dispatch,
+            adapter.translate_dialect,
+        ) == PROFILES[factory]
+        assert database.optimizer.profile.name == database.name
+        assert adapter.catalog is database.catalog
+        assert adapter.columnar is None and adapter.workers is None
+
+    def test_row_store_owns_its_channel(self):
+        adapter = RowStoreAdapter()
+        assert adapter.registry.channel is adapter.channel
+        assert adapter.isolation == "channel"
+        with pytest.raises(ValueError):
+            RowStoreAdapter(isolation="thread")
+
+    def test_database_is_adopted_not_copied(self):
+        database = Database("mine", execution_model="tuple")
+        assert MiniDbAdapter(database).database is database
+        assert QFusor(database).adapter.database is database
+
+
 class TestRowStoreChannel:
     def test_udf_batches_cross_the_process_channel(self):
         adapter = load(RowStoreAdapter())
@@ -66,6 +120,9 @@ class TestParallelAdapter:
     def test_thread_count_configurable(self):
         adapter = ParallelDbAdapter(threads=2)
         assert adapter.threads == 2
+        # Threads without the plane: UDFs keep their classic crossings.
+        assert adapter.registry.columnar is None
+        assert adapter.database.own_scheduler.morsel_size == 4096
 
     def test_dml_passthrough(self):
         adapter = load(ParallelDbAdapter())

@@ -108,9 +108,8 @@ class TestParityUnderFaults:
         assert any(i.kind == "hang" for i in pool.drain_incidents())
 
     def test_parity_under_worker_oom(self, reference_results):
-        adapter = RowStoreAdapter(
-            isolation="process", worker_memory_limit_mb=256
-        )
+        adapter = RowStoreAdapter(isolation="process")
+        adapter.workers.configure(memory_limit_mb=256)
         udfbench.setup(adapter, "tiny")
         try:
             with inject(FaultInjector().worker_oom(

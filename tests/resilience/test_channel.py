@@ -101,12 +101,11 @@ class TestRowStoreIntegration:
         configured on their owner; attaching default clients (a second
         one included — the board is shared by every client of the
         adapter) must write to none of them."""
-        adapter = RowStoreAdapter(
-            isolation="process",
-            worker_max_batch_retries=1,
-            worker_batch_timeout_s=2.5,
-        )
+        adapter = RowStoreAdapter(isolation="process")
         try:
+            adapter.workers.configure(
+                max_batch_retries=1, batch_timeout_s=2.5
+            )
             adapter.channel.configure(retries=1, backoff=0.0, timeout=9.0)
             adapter.registry.breakers.configure(
                 enabled=True, window=8, min_calls=2, cooldown_s=60.0

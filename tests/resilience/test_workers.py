@@ -87,12 +87,21 @@ def w_bad(x: int) -> int:
     raise ValueError(f"bad value {x}")
 
 
-def _assert_no_children(timeout: float = 5.0) -> None:
+def _child_pids() -> set:
+    children = {p.pid for p in multiprocessing.active_children()}
+    return children | set(active_worker_pids())
+
+
+def _assert_no_children(foreign=frozenset(), timeout: float = 5.0) -> None:
+    """No child of this process is alive, bar the ``foreign`` PIDs that
+    were already running when the test began.  Both sources are
+    process-global: without the subtraction one orphan fails every later
+    check in the session (``tests/service/test_chaos.py`` included)
+    instead of the one test that leaked it."""
     deadline = time.monotonic() + timeout
-    while multiprocessing.active_children() and time.monotonic() < deadline:
+    while _child_pids() - foreign and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert multiprocessing.active_children() == []
-    assert active_worker_pids() == []
+    assert _child_pids() - foreign == set()
 
 
 @pytest.fixture
@@ -111,17 +120,19 @@ def iso():
             return p
 
         def adapter(self, **kw):
-            a = RowStoreAdapter(isolation="process", **kw)
+            a = RowStoreAdapter(isolation="process")
             self.adapters.append(a)
+            a.workers.configure(**kw)
             return a
 
     env = Iso()
+    env.foreign = _child_pids()
     yield env
     for a in env.adapters:
         a.close()
     for p in env.pools:
         p.shutdown()
-    _assert_no_children()
+    _assert_no_children(env.foreign)
 
 
 def _table(n: int = 8) -> Table:
@@ -177,7 +188,7 @@ class TestPoolBasics:
         pids = pool.pids()
         assert pids
         pool.shutdown()
-        _assert_no_children()
+        _assert_no_children(iso.foreign)
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
@@ -336,6 +347,52 @@ class TestGovernanceIntegration:
         result = adapter.execute_sql("SELECT w_inc(x) FROM wt")
         assert sorted(r[0] for r in result.to_rows()) == [1, 2]
 
+    @pytest.mark.parametrize("method", ["start", "join"])
+    def test_interrupt_cannot_tear_worker_spawn_or_reap(
+            self, iso, monkeypatch, method):
+        # Under load the deadline passes while a worker is being forked,
+        # or the watchdog refires while a hung one is being reaped.  An
+        # async raise landing there orphans a child no shutdown can
+        # reach, or loses its exit status so multiprocessing reports it
+        # alive forever: both sections must run to completion.
+        adapter = iso.adapter()
+        adapter.register_table(_table(2))
+        adapter.register_udf(w_stall)
+        pool = adapter.workers
+        real_ctx, completed = pool._mp, []
+
+        class Lingering:
+            """``pool._mp`` whose processes stay in Python bytecode —
+            where an async raise can land — after ``method`` returns."""
+
+            Pipe = real_ctx.Pipe
+
+            @staticmethod
+            def Process(**kw):
+                process = real_ctx.Process(**kw)
+                real = getattr(process, method)
+
+                def linger(**kwargs):
+                    result = real(**kwargs)
+                    deadline = time.monotonic() + 0.6
+                    while time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    completed.append(method)
+                    return result
+
+                setattr(process, method, linger)
+                return process
+
+        monkeypatch.setattr(pool, "_mp", Lingering)
+        with pytest.raises(QueryTimeoutError):
+            adapter.execute_sql(
+                "SELECT w_stall(x) FROM wt",
+                context=QueryContext(timeout_s=0.3),
+            )
+        assert method in completed
+        # The forked worker is on its handle; the hung one is gone.
+        assert len(pool.pids()) == (1 if method == "start" else 0)
+
 
 class TestSupervision:
     def test_heartbeat_detects_externally_killed_worker(self, iso):
@@ -379,7 +436,7 @@ class TestSupervision:
 
 class TestReportVisibility:
     def test_worker_events_surface_in_last_report(self, iso):
-        adapter = iso.adapter(worker_max_batch_retries=1)
+        adapter = iso.adapter(max_batch_retries=1)
         adapter.register_table(_table(4))
         adapter.register_udf(w_inc)
         qfusor = QFusor(adapter, QFusorConfig(enabled=False))
@@ -417,7 +474,7 @@ class TestReportVisibility:
 @pytest.mark.filterwarnings("ignore::repro.resilience.workers.WorkerQuarantineWarning")
 class TestCrashStormSoak:
     def test_repeated_crash_storms_stay_contained(self, iso):
-        adapter = iso.adapter(worker_max_restarts=500)
+        adapter = iso.adapter(max_restarts=500)
         adapter.register_table(_table(16))
         adapter.register_udf(w_shout)
         adapter.register_udf(w_inc)

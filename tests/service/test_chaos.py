@@ -59,12 +59,29 @@ def c_spin(x: int) -> int:
     return x
 
 
+def _child_pids() -> set:
+    children = {p.pid for p in multiprocessing.active_children()}
+    return children | set(active_worker_pids())
+
+
+#: Children already alive when the current test began.  Both sources in
+#: ``_child_pids`` are process-global, so without the subtraction a
+#: worker orphaned by another module (seen under load: one leaked in
+#: ``tests/resilience/test_workers.py``) fails every test here.
+_FOREIGN: set = set()
+
+
+@pytest.fixture(autouse=True)
+def _sample_foreign_children():
+    _FOREIGN.clear()
+    _FOREIGN.update(_child_pids())
+
+
 def _assert_no_orphans(timeout: float = 5.0) -> None:
     deadline = time.monotonic() + timeout
-    while multiprocessing.active_children() and time.monotonic() < deadline:
+    while _child_pids() - _FOREIGN and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert multiprocessing.active_children() == []
-    assert active_worker_pids() == []
+    assert _child_pids() - _FOREIGN == set()
 
 
 def _isolated_service(**kw):
