@@ -32,7 +32,8 @@ from ..storage.column import Column
 from ..storage.table import Table
 from ..types import SqlType
 from ..udf.definition import UdfKind
-from .expressions import FunctionResolver, VectorEvaluator, RowEvaluator
+from .expressions import FunctionResolver, VectorEvaluator, truth_mask
+from .expressions import compile as compile_kernel
 from .plan import (
     Aggregate, CteScan, Distinct, Expand, Field, Filter, FusedFilter,
     Join, Limit, OneRow, PlanNode, Project, Requalify, Scan, SetOperation,
@@ -195,31 +196,28 @@ class VectorExecutor:
 
     def _filter(self, node: Filter, ctes) -> Relation:
         columns, size = self._run(node.child, ctes)
-
-        def mask_of(chunk: List[Column], n: int) -> np.ndarray:
-            evaluator = VectorEvaluator(node.child.schema, self.resolver)
-            return evaluator.predicate_mask(node.predicate, chunk, n)
-
+        # Compiled once per operator; morsel threads share the kernel.
+        kernel = compile_kernel(node.predicate, node.child.schema, self.resolver)
         masks = self._map_rows(
-            columns, size, "filter", mask_of, _calls([node.predicate])
+            columns, size, "filter",
+            lambda chunk, n: truth_mask(kernel(chunk, n)),
+            _calls([node.predicate]),
         )
         return _keep(columns, masks)
 
     def _fused_filter(self, node: FusedFilter, ctes) -> Relation:
         columns, size = self._run(node.child, ctes)
         registered = self.resolver.udf(node.udf_name)
+        args = [
+            compile_kernel(expr, node.child.schema, self.resolver)
+            for expr in node.arg_exprs
+        ]
 
         def mask_of(chunk: List[Column], n: int) -> np.ndarray:
-            evaluator = VectorEvaluator(node.child.schema, self.resolver)
-            args = [
-                evaluator.evaluate(expr, chunk, n) for expr in node.arg_exprs
-            ]
             # The fused predicate is a scalar bool UDF (Table 3): one
             # batched invocation, then the engine applies the mask.
-            predicate = registered.call_scalar(args, n)
-            return (
-                np.asarray(predicate.numpy(), dtype=bool)
-                & ~predicate.null_mask()
+            return truth_mask(
+                registered.call_scalar([arg(chunk, n) for arg in args], n)
             )
 
         masks = self._map_rows(
@@ -230,13 +228,13 @@ class VectorExecutor:
 
     def _project(self, node: Project, ctes) -> Relation:
         columns, size = self._run(node.child, ctes)
+        kernels = [
+            (compile_kernel(item.expr, node.child.schema, self.resolver), item.name)
+            for item in node.items
+        ]
 
         def evaluate(chunk: List[Column], n: int) -> List[Column]:
-            evaluator = VectorEvaluator(node.child.schema, self.resolver)
-            return [
-                evaluator.evaluate(item.expr, chunk, n, item.name)
-                for item in node.items
-            ]
+            return [kernel(chunk, n).renamed(name) for kernel, name in kernels]
 
         pieces = self._map_rows(
             columns, size, "project", evaluate,

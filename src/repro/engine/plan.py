@@ -18,7 +18,7 @@ from ..sql import ast_nodes as ast
 from ..types import SqlType
 
 __all__ = [
-    "Field", "PlanNode", "Scan", "CteScan", "Project", "ProjectItem",
+    "Field", "bind_column", "PlanNode", "Scan", "CteScan", "Project", "ProjectItem",
     "Expand", "Filter", "Aggregate", "AggCall", "Join", "Sort", "SortKey",
     "Distinct", "Limit", "SetOperation", "TableFunctionScan", "OneRow",
     "Requalify", "FusedFilter", "walk_plan",
@@ -43,6 +43,22 @@ class Field:
     def __str__(self) -> str:
         prefix = f"{self.qualifier}." if self.qualifier else ""
         return f"{prefix}{self.name}:{self.sql_type}"
+
+
+def bind_column(fields: Sequence[Field], ref: ast.ColumnRef) -> int:
+    """The position ``ref`` names in ``fields`` — the one binder the
+    planner and both evaluators share.  An unqualified ref that matches
+    several fields resolves to the single unqualified one among them."""
+    matches = [i for i, f in enumerate(fields) if f.matches(ref)]
+    if len(matches) > 1 and ref.table is None:
+        matches = [i for i in matches if fields[i].qualifier is None] or matches
+    if len(matches) == 1:
+        return matches[0]
+    if matches:
+        raise PlanError(f"ambiguous column {ref.qualified!r}")
+    raise PlanError(
+        f"unknown column {ref.qualified!r}; available: {[str(f) for f in fields]}"
+    )
 
 
 class PlanNode:
@@ -71,21 +87,7 @@ class PlanNode:
 
     def resolve(self, ref: ast.ColumnRef) -> int:
         """Resolve a column reference against this node's output schema."""
-        matches = [i for i, f in enumerate(self.schema) if f.matches(ref)]
-        if not matches:
-            raise PlanError(
-                f"unknown column {ref.qualified!r}; available: "
-                f"{[str(f) for f in self.schema]}"
-            )
-        if len(matches) > 1:
-            # Prefer an exact qualifier match when the name is ambiguous.
-            if ref.table is not None:
-                raise PlanError(f"ambiguous column {ref.qualified!r}")
-            unqualified = [i for i in matches if self.schema[i].qualifier is None]
-            if len(unqualified) == 1:
-                return unqualified[0]
-            raise PlanError(f"ambiguous column {ref.qualified!r}")
-        return matches[0]
+        return bind_column(self.schema, ref)
 
 
 class Scan(PlanNode):
