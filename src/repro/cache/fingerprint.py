@@ -51,9 +51,10 @@ def _canonical(value: Any) -> str:
 
 
 def _callable_token(func: Any) -> str:
-    """Identity of a callable by *content* (bytecode + consts), so a
-    re-registered function with a changed body fingerprints differently
-    while a byte-identical redefinition does not."""
+    """Identity of a callable by *content* (bytecode + consts + the
+    values it closes over), so a re-registered function with a changed
+    body or closure fingerprints differently while a byte-identical
+    redefinition does not."""
     code = getattr(func, "__code__", None)
     if code is None:
         # Classes (aggregate UDFs): token over their method codes.
@@ -64,7 +65,16 @@ def _callable_token(func: Any) -> str:
             if method_code is not None:
                 parts.append(_code_token(method_code))
         return "<class:" + "|".join(parts) + ">"
-    return "<fn:" + _code_token(code) + ">"
+    cells = []
+    for cell in getattr(func, "__closure__", None) or ():
+        try:
+            value = cell.cell_contents
+        except ValueError:  # an empty cell
+            value = None
+        # A closed-over function by its code only: closures may be cyclic.
+        value_code = getattr(value, "__code__", None)
+        cells.append(repr(value) if value_code is None else _code_token(value_code))
+    return "<fn:" + _code_token(code) + "".join(f"|{c}" for c in cells) + ">"
 
 
 def _code_token(code: Any) -> str:

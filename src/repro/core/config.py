@@ -42,7 +42,12 @@ class QFusorConfig:
     inline: bool = True
     #: Use the compiled-trace cache across queries (Fig. 6d "cache").
     trace_cache: bool = True
-    #: Use learned statistics when available; otherwise heuristics.
+    #: Cost-based decisions: use learned statistics when available, and
+    #: gate preparation by cost (a small UDF SELECT runs cold on the
+    #: floor rung until it is seen again or its estimated boundary
+    #: saving pays for translate / plan / fuse / JIT).  Off: the
+    #: heuristics alone, and every statement prepared on first sight
+    #: (rule 1, "fuse all").
     cost_based: bool = True
     #: Filter-offload selectivity threshold: fuse a filter with UDFs when
     #: it keeps at least this fraction of rows (heuristics, section 5.2.4:

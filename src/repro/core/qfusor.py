@@ -13,7 +13,9 @@ query containing UDFs it runs the four-step pipeline:
    execution engine (path 2) or resubmit rewritten SQL (path 1, used for
    engines without plan dispatch and for DML).
 
-Queries without UDFs pass through untouched.
+Queries without UDFs pass through untouched, and so does a small UDF
+SELECT on first sight: the tier gate (:meth:`QFusor._tier`) pays for the
+pipeline only once a statement is hot or big enough to earn it back.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..cache import CacheManager
+from ..cache.fingerprint import sql_fingerprint, statement_tables
 from ..cache.plan_cache import PlanEntry
 from ..engine.database import Database
 from ..engine.explain import explain_text
@@ -59,6 +63,8 @@ __all__ = ["QFusor", "QFusorReport"]
 
 #: Bounded-LRU size of the compiled-trace cache.
 TRACE_CACHE_CAPACITY = 256
+#: Bounded-LRU size of the tier gate's table of statements seen cold.
+SIGHTINGS_CAPACITY = 1024
 
 
 @dataclass
@@ -97,6 +103,11 @@ class QFusorReport:
     #: Translation decisions (:class:`repro.sql.translate.TranslateEvent`):
     #: hit / unsupported / deopt, with reasons.
     translate_events: List[TranslateEvent] = field(default_factory=list)
+    #: The tier gate's decision and why, e.g. ``"cold: first sight, est.
+    #: saving 0.5 ms < prepare 1.9 ms"`` or ``"prepare: second sight"``;
+    #: empty when the gate was not consulted (plan-cache hit, a walk that
+    #: starts at the floor).
+    tier: str = ""
 
     @property
     def fused_names(self) -> List[str]:
@@ -178,6 +189,9 @@ class QFusor:
         # tiers default off, so `caches.active` is the only cost the
         # uncached path pays.
         self.caches = CacheManager(self.adapter, self.config)
+        # The tier gate's memory: fingerprints of SELECTs that ran cold.
+        self._sightings: "OrderedDict[Any, None]" = OrderedDict()
+        self._sightings_lock = threading.Lock()
         # Fused UDFs must reach the engine itself (the sqlite3 adapter,
         # for example, registers through create_function).
         self.fuser.register_hook = engine.register_udf
@@ -453,7 +467,8 @@ class QFusor:
 
         A generator, so a preparer (plan-cache lookup, translate, fuse)
         runs only when the walk reaches its rung: a clean translated run
-        never plans or fuses, and a faulted one fuses afterwards.
+        never plans or fuses, and a faulted one fuses afterwards.  A
+        statement the tier gate keeps cold yields the floor alone.
         """
         entry = None
         if pkey is not None:
@@ -462,6 +477,9 @@ class QFusor:
         if hit:
             # A plan-cache hit: parse/probe/plan/fuse all skipped.
             self._adopt(report, entry, "plan-cache")
+        elif not self._tier(statement, report, pkey):
+            yield self._floor(statement)
+            return
         elif self.translator is not None:
             # Froid-style translation first: when every UDF reference
             # compiles to SQL, the UDF boundary disappears and fusion
@@ -485,6 +503,71 @@ class QFusor:
     def _floor(self, statement: ast.Statement) -> Rung:
         """The last rung of every ladder: the engine's own path."""
         return Rung("unfused", lambda: self.adapter.execute_sql(statement))
+
+    def _tier(
+        self,
+        statement: ast.Statement,
+        report: QFusorReport,
+        pkey: Optional[tuple],
+    ) -> bool:
+        """The tier gate: prepare this statement now, or run it cold?
+
+        Like a tracing JIT waiting for a loop to get hot, a SELECT is
+        translated, planned, fused and compiled only on its second
+        sighting, or on its first when one execution's estimated
+        boundary saving already pays for the preparation.  Whatever the
+        estimate cannot size prepares eagerly, and ``cost_based=False``
+        prepares everything (heuristics rule 1).
+        """
+        if not self.config.cost_based:
+            return self._decide(report, "prepare", "cost_based off")
+        if not isinstance(statement, ast.Select):
+            return self._decide(report, "prepare", "DML")
+        policy = self.config.row_error_policy
+        if policy != "reinterpret":
+            # null / skip / raise exist only on the fused rung.
+            return self._decide(report, "prepare", f"row_error_policy={policy}")
+        if any(
+            isinstance(item, ast.TableFunctionRef)
+            for item in _statement_from_items(statement)
+        ):
+            return self._decide(report, "prepare", "table-function source")
+        rows = 0
+        for name in statement_tables(statement):
+            count = self.adapter.row_count(name)
+            if count is None:
+                return self._decide(report, "prepare", f"unsized table {name}")
+            rows += count
+        sites = udf_call_sites(statement, self.adapter.registry)
+        saving = self.cost_model.boundary_saving(max(rows, 1), sites)
+        cost = self.cost_model.prepare_cost(sites)
+        big = saving >= cost
+        estimate = (
+            f"first sight, est. saving {saving * 1e3:.3g} ms "
+            f"{'>=' if big else '<'} prepare {cost * 1e3:.3g} ms"
+        )
+        if big:
+            return self._decide(report, "prepare", estimate)
+        key = pkey if pkey is not None else sql_fingerprint(statement)
+        with self._sightings_lock:
+            seen = key in self._sightings
+            self._sightings[key] = None
+            self._sightings.move_to_end(key)
+            if len(self._sightings) > SIGHTINGS_CAPACITY:
+                self._sightings.popitem(last=False)
+        if seen:
+            return self._decide(report, "prepare", "second sight")
+        return self._decide(report, "cold", estimate)
+
+    @staticmethod
+    def _decide(report: QFusorReport, decision: str, reason: str) -> bool:
+        """Record a tier decision; True when it is to prepare."""
+        report.tier = f"{decision}: {reason}"
+        if OBS.metrics:
+            METRICS.counter("repro_tier_total", decision=decision).inc()
+        if OBS.tracing:
+            obs_tracer.add_event("tier", decision=decision, reason=reason)
+        return decision == "prepare"
 
     def _rungs_of(
         self, entry: PlanEntry, statement: ast.Statement, store: bool = True
@@ -629,6 +712,7 @@ class QFusor:
             plan_after=explain_text(outcome.planned),
         )
         self._adopt(report, entry)
+        self._observe_prepare(statement, report)
         if sp is not None:
             obs_tracer.span_end(
                 sp,
@@ -661,11 +745,21 @@ class QFusor:
             kind="sql", rewritten=rewritten, fused=list(report.fused)
         )
         self._adopt(report, entry)
+        self._observe_prepare(statement, report)
         if sp is not None:
             obs_tracer.span_end(
                 sp, fused=len(entry.fused), cache_hits=report.cache_hits
             )
         return entry
+
+    def _observe_prepare(
+        self, statement: ast.Statement, report: QFusorReport
+    ) -> None:
+        """Teach the tier gate what this preparation cost per call site."""
+        self.cost_model.observe_prepare(
+            report.total_overhead_seconds,
+            udf_call_sites(statement, self.adapter.registry),
+        )
 
     # -- the driver ------------------------------------------------------
 
@@ -922,6 +1016,17 @@ def referenced_udfs(statement: ast.Statement, registry: Any) -> List[str]:
             ):
                 names.append(node.lowered_name)
     return names
+
+
+def udf_call_sites(statement: ast.Statement, registry: Any) -> int:
+    """How many registered-UDF calls ``statement`` makes, repeats
+    included."""
+    return sum(
+        1
+        for expr in _statement_expressions(statement)
+        for node in ast.walk_expr(expr)
+        if isinstance(node, ast.FunctionCall) and node.name in registry
+    )
 
 
 def _statement_expressions(statement: ast.Statement):

@@ -66,6 +66,12 @@ class EngineAdapter:
         engines with external storage override this."""
         return self.database.catalog
 
+    def row_count(self, table: str) -> Optional[int]:
+        """Rows in ``table``, or None when the table is unknown or this
+        adapter cannot say without running a query."""
+        catalog = self.catalog
+        return catalog.get(table).num_rows if table in catalog else None
+
     # -- process isolation -------------------------------------------------
 
     @property

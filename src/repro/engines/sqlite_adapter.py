@@ -75,6 +75,9 @@ class SqliteAdapter(EngineAdapter):
     def catalog(self):
         return self._catalog
 
+    def row_count(self, table: str) -> Optional[int]:
+        return None  # the catalog holds schemas only; rows live in sqlite
+
     @property
     def resolver(self):
         from ..engine.expressions import FunctionResolver

@@ -292,17 +292,32 @@ def activate(context: QueryContext) -> Iterator[QueryContext]:
             _clear_pending_interrupt()
 
 
+class _Discarded(BaseException):
+    """Stands in for a pending async interrupt so it can land and die."""
+
+
 def _clear_pending_interrupt() -> None:
     """Discard a fired-but-unlanded async interrupt aimed at this thread.
 
-    ``PyThreadState_SetAsyncExc(ident, NULL)`` clears the thread's
-    pending async-exception slot; a no-op when the interrupt already
-    landed (it is then an ordinary propagating exception) or on
-    non-CPython runtimes.
+    Overwrites the thread's pending async-exception slot with the private
+    :class:`_Discarded` and lets it land here.  Clearing the slot with
+    ``PyThreadState_SetAsyncExc(ident, NULL)`` instead would leave
+    CPython 3.11's eval-breaker flag raised with nothing left to lower
+    it, after which any frame run under ``sys.setprofile`` spins
+    forever.  A no-op on non-CPython runtimes.
     """
     set_async = getattr(ctypes.pythonapi, "PyThreadState_SetAsyncExc", None)
-    if set_async is not None:
-        set_async(ctypes.c_ulong(threading.get_ident()), None)
+    if set_async is None:
+        return
+    try:
+        set_async(
+            ctypes.c_ulong(threading.get_ident()),
+            ctypes.py_object(_Discarded),
+        )
+        for _ in range(8):  # landing strip: a backward jump checks the flag
+            pass
+    except (_Discarded, QueryInterrupt):
+        pass  # ours, or the stale interrupt landing before the swap
 
 
 def _absorb_pending(context: QueryContext, wait_s: float = 0.2) -> None:

@@ -38,7 +38,7 @@ def _table():
 
 def _engine(config=None, adapter_cls=MiniDbAdapter):
     adapter = adapter_cls()
-    qf = QFusor(adapter, config or QFusorConfig.cached())
+    qf = QFusor(adapter, (config or QFusorConfig.cached()).ablated(cost_based=False))
     qf.register_table(_table(), replace=True)
     qf.register_udf(cache_double)
     qf.register_udf(cache_plain)
@@ -208,7 +208,7 @@ class TestLifecycle:
         names = registry.names()
         fused_query = "SELECT cache_double(cache_double(b)) AS d FROM ct"
         for _ in range(200):
-            with QFusor(adapter, QFusorConfig.cached()) as qf:
+            with QFusor(adapter, QFusorConfig.cached(cost_based=False)) as qf:
                 rows = list(qf.execute(fused_query).rows())
                 assert qf.last_report.fused
             assert rows == [(40,), (80,), (120,), (160,)]

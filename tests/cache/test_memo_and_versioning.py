@@ -56,6 +56,19 @@ class TestVersioning:
         assert u.version == 2
         assert ("memo_pure", 2) in bumps
 
+    def test_changed_closure_bumps_version(self):
+        def make(factor):
+            @scalar_udf(name="memo_closure", deterministic=True)
+            def scaled(x: int) -> int:
+                return x * factor
+
+            return scaled
+
+        reg = UdfRegistry()
+        reg.register(make(2))
+        assert reg.register(make(2), replace=True).version == 1
+        assert reg.register(make(3), replace=True).version == 2
+
     def test_registration_deterministic_override_counts_as_annotation(self):
         reg = UdfRegistry()
         u = reg.register(memo_unannotated, deterministic=True)

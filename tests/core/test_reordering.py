@@ -113,7 +113,7 @@ class TestF3EndToEnd:
         adapter.register_table(make_people_table())
         for udf in TEST_UDFS:
             adapter.register_udf(udf)
-        qfusor = QFusor(adapter)
+        qfusor = QFusor(adapter, QFusorConfig(cost_based=False))
         assert qfusor.execute(sql).to_rows() == native
         report = qfusor.last_report
         # the scalar chain fused despite the interleaved filter

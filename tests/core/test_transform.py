@@ -19,7 +19,7 @@ def make_qfusor(config=None):
     adapter.register_table(make_json_table())
     for udf in TEST_UDFS:
         adapter.register_udf(udf)
-    return QFusor(adapter, config)
+    return QFusor(adapter, (config or QFusorConfig()).ablated(cost_based=False))
 
 
 def plan_after(qfusor, sql):

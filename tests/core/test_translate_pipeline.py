@@ -54,7 +54,8 @@ def _qfusor(config=None, *udfs, adapter_cls=MiniDbAdapter):
     )
     for udf in udfs or (p_add,):
         adapter.register_udf(udf, replace=True)
-    return QFusor(adapter, config or QFusorConfig.translated())
+    config = config or QFusorConfig.translated()
+    return QFusor(adapter, config.ablated(cost_based=False))
 
 
 class TestTranslateHit:

@@ -1,9 +1,11 @@
 """Executes one differential case across every engine configuration.
 
-A case runs on eleven systems: each of the five engine adapters both
-unfused (``adapter.execute_sql``) and fused (``QFusor.execute``), plus
-stdlib sqlite3 as the ground-truth oracle (when the query is expressible
-there).  All results must normalize to the same multiset of rows.
+A case runs on each of the five engine adapters both unfused
+(``adapter.execute_sql``) and through ``QFusor.execute`` twice — cold on
+the floor rung, then prepared — plus the cached and translated lanes,
+and on stdlib sqlite3 as the ground-truth oracle (when the query is
+expressible there).  All results must normalize to the same multiset of
+rows.
 """
 
 from __future__ import annotations
@@ -153,17 +155,28 @@ class DifferentialRunner:
         """Normalized result rows per system name (errors as strings)."""
         self._ensure_table(case)
         out: Dict[str, object] = {}
+        # Every QFusor lane runs the query twice: on first sight QFusor's
+        # tier gate keeps a small statement cold on the floor rung, and
+        # the second sighting prepares it (translate / fuse / JIT).
         for name, adapter, qfusor in self.engines:
             out[f"{name}/unfused"] = self._run(
                 lambda: adapter.execute_sql(case.sql)
             )
+            out[f"{name}/cold"] = self._run(lambda: qfusor.execute(case.sql))
             out[f"{name}/fused"] = self._run(lambda: qfusor.execute(case.sql))
         for name, _adapter, qfusor in self.cached_engines:
             out[f"{name}/cold"] = self._run(lambda: qfusor.execute(case.sql))
+            # The floor run's stored result would answer the second run
+            # before the ladder: drop it so that run prepares.
+            qfusor.caches.results.clear()
+            out[f"{name}/prepared"] = self._run(
+                lambda: qfusor.execute(case.sql)
+            )
             out[f"{name}/warm"] = self._run(lambda: qfusor.execute(case.sql))
         for name, _adapter, qfusor in self.translated_engines:
             if name.startswith("sqlite") and not case.oracle_ok:
                 continue  # table-UDF shapes the sqlite adapter can't run
+            out[f"{name}/cold"] = self._run(lambda: qfusor.execute(case.sql))
             out[f"{name}/translated"] = self._run(
                 lambda: qfusor.execute(case.sql)
             )

@@ -90,6 +90,20 @@ def test_differential_with_process_isolation():
     assert multiprocessing.active_children() == []
 
 
+def test_qfusor_lanes_reach_the_prepared_tiers(diff_runner):
+    """The second run of a lane is prepared, not another floor run —
+    otherwise every fused lane would silently test only the floor."""
+    prepared = 0
+    for seed in range(8):
+        diff_runner.results(make_case(seed))
+        for name, _adapter, qfusor in diff_runner.engines:
+            report = qfusor.last_report
+            if report.is_udf_query:
+                assert report.tier.startswith("prepare: "), (name, report.tier)
+                prepared += 1
+    assert prepared
+
+
 def test_generator_is_deterministic():
     first, second = make_case(17), make_case(17)
     assert first.sql == second.sql

@@ -191,3 +191,52 @@ class TestRegistrationIsInterruptSafe:
         entry = watchdog.register(threading.get_ident(), context)
         watchdog.unregister(entry)
         assert held == [True]
+
+
+#: Fires a timeout into a busy loop, lets ``activate`` clear what the
+#: watchdog left pending, then times one call under a profile hook.
+_PROFILED_AFTER_TIMEOUT = """
+import sys, time
+from repro.errors import QueryTimeoutError
+from repro.resilience import governor
+
+try:
+    with governor.activate(governor.QueryContext(timeout_s=0.02)):
+        while True:
+            pass
+except QueryTimeoutError:
+    pass
+
+def probe():
+    return 1
+
+sys.setprofile(lambda *args: None)
+start = time.perf_counter()
+probe()
+sys.setprofile(None)
+print(time.perf_counter() - start)
+"""
+
+
+class TestClearedInterruptLeavesNoTrace:
+    def test_profiled_call_after_a_fired_timeout_returns(self):
+        # Clearing the pending slot with NULL left CPython 3.11's
+        # eval-breaker flag raised for the life of the process, and any
+        # frame entered under sys.setprofile then spun forever.  In a
+        # subprocess, so a regression hangs only the child.
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", _PROFILED_AFTER_TIMEOUT],
+                env=env, capture_output=True, text=True, timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("a profiled call hung after a cleared timeout")
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout.split()[-1]) < 1.0

@@ -25,7 +25,7 @@ def native_result():
 def fresh_qfusor(config=None):
     adapter = MiniDbAdapter()
     udfbench.setup(adapter, "tiny")
-    return QFusor(adapter, config)
+    return QFusor(adapter, (config or QFusorConfig()).ablated(cost_based=False))
 
 
 class TestRunningExample:

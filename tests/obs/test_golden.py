@@ -137,7 +137,7 @@ class TestChromeSchema:
         self.assert_valid(report.chrome_trace())
 
     def test_real_query_trace_validates(self):
-        from repro.core import QFusor
+        from repro.core import QFusor, QFusorConfig
         from repro.engines import MiniDbAdapter
         from tests.conftest import TEST_UDFS, make_people_table
 
@@ -145,7 +145,7 @@ class TestChromeSchema:
         adapter.register_table(make_people_table())
         for udf in TEST_UDFS:
             adapter.register_udf(udf)
-        qfusor = QFusor(adapter)
+        qfusor = QFusor(adapter, QFusorConfig(cost_based=False))
         with tracer.trace_query("real") as trace:
             qfusor.execute("SELECT t_upper(t_lower(name)) FROM people")
         document = QueryReport(trace).chrome_trace()

@@ -5,7 +5,7 @@ metrics the paper's evaluation questions need."""
 import pytest
 
 from repro.bench.harness import ALL_SQL, setup_adapter
-from repro.core import QFusor
+from repro.core import QFusor, QFusorConfig
 from repro.engines import (
     DuckDbLikeAdapter, MiniDbAdapter, ParallelDbAdapter, RowStoreAdapter,
     TupleDbAdapter,
@@ -28,7 +28,7 @@ _ADAPTERS = {
 def engine(request):
     make, kwargs = _ADAPTERS[request.param]
     adapter = setup_adapter(make(**kwargs), "tiny")
-    return request.param, adapter, QFusor(adapter)
+    return request.param, adapter, QFusor(adapter, QFusorConfig(cost_based=False))
 
 
 class TestQueryReportEverywhere:
@@ -117,7 +117,7 @@ class TestGovernanceEventsAttach:
         ))
         adapter.register_udf(obs_fold)
         adapter.register_udf(obs_mark)
-        qfusor = QFusor(adapter)
+        qfusor = QFusor(adapter, QFusorConfig(cost_based=False))
         sql = "SELECT obs_mark(obs_fold(v)) AS o FROM t"
         qfusor.execute(sql)  # warm: compile + cache the fused trace
         assert qfusor.last_report.fused

@@ -10,7 +10,7 @@ asserts the <3% budget.
 
 import pytest
 
-from repro.core import QFusor
+from repro.core import QFusor, QFusorConfig
 from repro.engines import MiniDbAdapter
 from repro.obs import METRICS, tracer
 from repro.storage import Table
@@ -28,7 +28,7 @@ def oh_mark(val: str) -> str:
     return "<" + val + ">"
 
 
-def make_qfusor():
+def make_qfusor(config=QFusorConfig(cost_based=False)):
     adapter = MiniDbAdapter()
     adapter.register_table(Table.from_rows(
         "t", [("id", SqlType.INT), ("v", SqlType.TEXT)],
@@ -36,7 +36,23 @@ def make_qfusor():
     ))
     adapter.register_udf(oh_lower)
     adapter.register_udf(oh_mark)
-    return QFusor(adapter)
+    return QFusor(adapter, config)
+
+
+def poison_instrumentation(monkeypatch):
+    """Make every entry point the guarded call sites can reach raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(
+            "instrumentation reached with observability disabled"
+        )
+
+    monkeypatch.setattr(tracer, "span_start", forbidden)
+    monkeypatch.setattr(tracer, "span_end", forbidden)
+    monkeypatch.setattr(tracer, "add_event", forbidden)
+    monkeypatch.setattr(tracer, "maybe_trace", forbidden)
+    monkeypatch.setattr(METRICS, "counter", forbidden)
+    monkeypatch.setattr(METRICS, "histogram", forbidden)
 
 
 class TestDisabledObsIsStructurallyFree:
@@ -46,19 +62,7 @@ class TestDisabledObsIsStructurallyFree:
         qfusor.execute(sql)  # warm: compile outside the poisoned window
         assert qfusor.last_report.fused
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError(
-                "instrumentation reached with observability disabled"
-            )
-
-        # Poison every entry point the guarded call sites can reach.
-        monkeypatch.setattr(tracer, "span_start", forbidden)
-        monkeypatch.setattr(tracer, "span_end", forbidden)
-        monkeypatch.setattr(tracer, "add_event", forbidden)
-        monkeypatch.setattr(tracer, "maybe_trace", forbidden)
-        monkeypatch.setattr(METRICS, "counter", forbidden)
-        monkeypatch.setattr(METRICS, "histogram", forbidden)
-
+        poison_instrumentation(monkeypatch)
         tracer.disable()
         result = qfusor.execute(sql)  # must not raise
         assert len(list(result.to_rows())) == 50
@@ -66,20 +70,21 @@ class TestDisabledObsIsStructurallyFree:
     def test_cold_compile_is_also_free_when_disabled(self, monkeypatch):
         """The jit_compile path itself (cache miss) is fully guarded."""
         qfusor = make_qfusor()
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError(
-                "instrumentation reached with observability disabled"
-            )
-
-        monkeypatch.setattr(tracer, "span_start", forbidden)
-        monkeypatch.setattr(tracer, "span_end", forbidden)
-        monkeypatch.setattr(tracer, "add_event", forbidden)
-        monkeypatch.setattr(METRICS, "counter", forbidden)
-        monkeypatch.setattr(METRICS, "histogram", forbidden)
-
+        poison_instrumentation(monkeypatch)
         tracer.disable()
         qfusor.execute("SELECT oh_lower(oh_mark(v)) AS o FROM t")
+        assert qfusor.last_report.fused
+
+    def test_tier_gate_is_also_free_when_disabled(self, monkeypatch):
+        """Both tier decisions: cold on first sight, prepare on second."""
+        qfusor = make_qfusor(QFusorConfig())
+        poison_instrumentation(monkeypatch)
+        tracer.disable()
+        sql = "SELECT oh_mark(oh_lower(v)) AS o FROM t"
+        qfusor.execute(sql)
+        assert qfusor.last_report.tier.startswith("cold:")
+        qfusor.execute(sql)
+        assert qfusor.last_report.tier == "prepare: second sight"
         assert qfusor.last_report.fused
 
 

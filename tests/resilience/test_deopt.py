@@ -35,7 +35,7 @@ def make_qfusor(adapter_cls, config=None):
     ))
     adapter.register_udf(r_fold)
     adapter.register_udf(r_mark)
-    return QFusor(adapter, config)
+    return QFusor(adapter, (config or QFusorConfig()).ablated(cost_based=False))
 
 
 def rows(table):

@@ -42,7 +42,7 @@ def make_qfusor(policy="reinterpret", **overrides):
     ))
     for udf in (p_fold, p_mark, p_words):
         adapter.register_udf(udf)
-    config = QFusorConfig(row_error_policy=policy, **overrides)
+    config = QFusorConfig(row_error_policy=policy, cost_based=False, **overrides)
     return QFusor(adapter, config)
 
 

@@ -247,8 +247,8 @@ def test_metamorphic_pushdown_agreement(values, threshold):
     sql_plain = "SELECT prop_meta(v) FROM m"
     sql_pred = f"SELECT prop_meta(v) FROM m WHERE v > {threshold}"
     for sql in (sql_plain, sql_pred):
-        on = QFusor(_adapter(values), QFusorConfig.translated())
-        off = QFusor(_adapter(values), QFusorConfig())
+        on = QFusor(_adapter(values), QFusorConfig.translated(cost_based=False))
+        off = QFusor(_adapter(values), QFusorConfig(cost_based=False))
         rows_on = sorted(
             (str(v) for v in on.execute(sql).columns[0].to_list()),
         )

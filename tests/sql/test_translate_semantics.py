@@ -208,7 +208,7 @@ class TestTranslatedExecutionAgreesWithPython:
         adapter = MiniDbAdapter(Database())
         adapter.register_table(table)
         adapter.register_udf(udf, deterministic=True)
-        qf = QFusor(adapter, QFusorConfig.translated())
+        qf = QFusor(adapter, QFusorConfig.translated(cost_based=False))
         name = udf.__udf__.name
         out = qf.execute(f"SELECT {name}({', '.join(names)}) FROM sem")
         assert qf.last_report.translated == [name]
@@ -252,7 +252,7 @@ class TestRejectedCorpusStillRunsCorrectly:
         adapter = MiniDbAdapter(Database())
         adapter.register_table(table)
         adapter.register_udf(udf, deterministic=True)
-        qf = QFusor(adapter, QFusorConfig.translated())
+        qf = QFusor(adapter, QFusorConfig.translated(cost_based=False))
         name = udf.__udf__.name
         out = qf.execute(f"SELECT {name}({', '.join(names)}) FROM sem")
         report = qf.last_report
