@@ -283,7 +283,7 @@ class CacheManager:
         """Population policy: only clean, undegraded runs are cached.
 
         A run that de-optimized, recovered rows, bypassed an open
-        breaker, or saw channel/worker incidents may have produced
+        breaker, or saw worker incidents may have produced
         policy-dependent output (and signals instability regardless);
         fault-injection runs never populate.
         """
@@ -295,6 +295,5 @@ class CacheManager:
             report.deopt_events
             or report.row_events
             or report.breaker_bypass
-            or report.channel_events
             or report.worker_events
         )

@@ -1,14 +1,11 @@
 """repro.columnar — the typed-buffer data plane.
 
-Four pieces, one policy object:
+Three pieces, one policy object:
 
 - :mod:`~repro.columnar.buffer` — ``Batch``/``BufferPage`` over typed
   contiguous buffers with zero-copy slicing (the unit of exchange).
 - :mod:`~repro.columnar.kernels` — batch-at-a-time scalar UDF kernels
   that cross the engine↔UDF boundary per *column* instead of per value.
-- :mod:`~repro.columnar.transport` — strict typed-frame packing so UDF
-  batches ship to the worker pool as raw buffers (pickle protocol-5
-  out-of-band or shared memory) instead of object-list pickles.
 - :mod:`~repro.columnar.morsel` — the morsel grid the vector executor
   shards row-parallel operators over, with per-morsel governance
   checkpoints and deopt-to-serial fallback.
@@ -42,15 +39,13 @@ DEFAULT_MORSEL_SIZE = 4096
 class ColumnarPolicy:
     """One adapter's columnar-plane configuration.
 
-    Shared between the executor (morsel sharding), the UDF registry
-    (kernel dispatch), and the transport layer (buffer shipping); the
-    scheduler hanging off it mirrors ``threads`` / ``morsel_size``.
+    Shared between the executor (morsel sharding) and the UDF registry
+    (kernel dispatch); attached means on.  The scheduler hanging off it
+    mirrors ``threads`` / ``morsel_size``.
     """
 
-    enabled: bool = True
     morsel_size: int = DEFAULT_MORSEL_SIZE
     threads: int = 1
-    buffer_transport: bool = False
 
     def __post_init__(self):
         self.morsel_size = max(1, int(self.morsel_size))
@@ -62,20 +57,14 @@ class ColumnarPolicy:
     def configure(
         self,
         *,
-        enabled: Optional[bool] = None,
         morsel_size: Optional[int] = None,
         threads: Optional[int] = None,
-        buffer_transport: Optional[bool] = None,
     ) -> "ColumnarPolicy":
         """Update knobs in place (``None`` leaves a knob untouched)."""
-        if enabled is not None:
-            self.enabled = bool(enabled)
         if morsel_size is not None:
             self.morsel_size = max(1, int(morsel_size))
             self.scheduler.morsel_size = self.morsel_size
         if threads is not None:
             self.threads = max(1, int(threads))
             self.scheduler.threads = self.threads
-        if buffer_transport is not None:
-            self.buffer_transport = bool(buffer_transport)
         return self

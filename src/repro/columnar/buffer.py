@@ -4,7 +4,7 @@ A :class:`BufferPage` is a thin, named view over one contiguous typed
 buffer: a numpy array for numerics (plus an explicit null mask) or a
 Python object array for variable-length values (TEXT/JSON, where ``None``
 entries are SQL NULLs).  A :class:`Batch` is an aligned set of pages — the
-unit operators, fused traces, and transport hand to each other.
+unit operators and fused traces hand to each other.
 
 Pages are deliberately *storage-compatible* with
 :class:`repro.storage.column.Column`: converting between the two never

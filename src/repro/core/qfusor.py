@@ -87,8 +87,6 @@ class QFusorReport:
     deopt_events: List[DeoptEvent] = field(default_factory=list)
     #: Row-level exceptions recovered inside fused batch wrappers.
     row_events: List[RowEvent] = field(default_factory=list)
-    #: Out-of-process channel incidents observed during this query.
-    channel_events: List[Any] = field(default_factory=list)
     #: Worker-pool supervision incidents (crashes, hang kills, OOM
     #: kills, restarts, quarantines) observed during this query.
     worker_events: List[Any] = field(default_factory=list)
@@ -908,10 +906,7 @@ class QFusor:
             )
 
     def _drain_runtime_events(self, report: QFusorReport) -> None:
-        """Move adapter-side channel/worker incidents into the report."""
-        channel = getattr(self.adapter, "channel", None)
-        if channel is not None:
-            report.channel_events.extend(channel.drain_incidents())
+        """Move adapter-side worker incidents into the report."""
         workers = self.adapter.workers
         if workers is not None:
             report.worker_events.extend(workers.drain_incidents())

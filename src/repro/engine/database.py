@@ -82,7 +82,7 @@ class Database:
         columnar policy's morsel scheduler while the plane is on, else
         the engine's own (dbX's threaded one; ``None`` = never shard)."""
         policy = self.columnar
-        if policy is not None and policy.enabled:
+        if policy is not None:
             return policy.scheduler
         return self.own_scheduler
 

@@ -25,10 +25,11 @@ profile               name       database    model  pushdown models
 
 and what each adds: ``MiniDbAdapter`` (the default host) adopts an
 existing ``database``, recovers a ``durability_dir`` and can start
-``columnar``; ``RowStoreAdapter`` puts a ``ResilientChannel`` on the UDF
-boundary (``isolation="process"``: real worker processes) and takes a
-``durability_dir``; ``ParallelDbAdapter`` gives the database a threaded
-``own_scheduler`` (``threads``).  Worker pools, WAL settings and the
+``columnar``; ``RowStoreAdapter`` puts a pickle ``ProcessChannel`` on the
+UDF boundary (``isolation="process"``: real worker processes, which
+ship each batch as the same pickle) and takes a ``durability_dir``;
+``ParallelDbAdapter`` gives the database a threaded ``own_scheduler``
+(``threads``).  Worker pools, WAL settings and the
 columnar plane are configured on their owners:
 ``adapter.enable_process_isolation(...)`` /
 ``adapter.workers.configure(...)``,

@@ -92,9 +92,6 @@ class EngineAdapter:
 
         pool = WorkerPool(**knobs)
         pool.on_crash = self.registry.breakers.record_failure
-        policy = self.columnar
-        if policy is not None and "buffer_transport" not in knobs:
-            pool.buffer_transport = policy.buffer_transport
         self.registry.workers = pool
         return pool
 
@@ -116,40 +113,24 @@ class EngineAdapter:
         """Switch this adapter onto the typed-buffer data plane.
 
         ``knobs`` are :class:`repro.columnar.ColumnarPolicy` fields
-        (``enabled``, ``morsel_size``, ``threads``, ``buffer_transport``);
-        ``None``/omitted knobs keep their current values.  Attaches the
-        policy to the UDF registry (kernel dispatch), the execution
-        engine (morsel sharding), and the worker pool / resilient channel
-        (buffer transport).  Returns the policy.
+        (``morsel_size``, ``threads``); ``None``/omitted knobs keep their
+        current values.  Attaches the policy to the UDF registry (kernel
+        dispatch) and the execution engine (morsel sharding).  Returns
+        the policy.
         """
         from ..columnar import ColumnarPolicy
 
-        policy = self.columnar
-        if policy is None:
-            policy = ColumnarPolicy()
-            self.registry.columnar = policy
-        policy.configure(**knobs)
-        self._ship_buffers(policy.buffer_transport)
+        policy = self.columnar or ColumnarPolicy()
+        # Configured before attaching: a rejected knob attaches nothing.
+        self.registry.columnar = policy.configure(**knobs)
         return policy
 
     def disable_columnar(self) -> None:
         """Return to the classic object paths."""
-        if self.columnar is None:
-            return
         self.registry.columnar = None
-        self._ship_buffers(False)
-
-    def _ship_buffers(self, on: bool) -> None:
-        """Tell the UDF boundary whether batches cross as typed frames."""
-        pool, channel = self.workers, self.registry.channel
-        if pool is not None:
-            pool.configure(buffer_transport=on)
-        # A bare ``ProcessChannel`` has no transport to configure.
-        if hasattr(channel, "configure"):
-            channel.configure(buffer_transport=on)
 
     def close(self) -> None:
-        """Release adapter resources (worker processes, channels, WAL)."""
+        """Release adapter resources (worker processes, WAL)."""
         self.disable_process_isolation()
         if self.durability is not None:
             self.durability.close()

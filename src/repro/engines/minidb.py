@@ -18,9 +18,9 @@ from ..columnar.morsel import MorselScheduler
 from ..engine.database import Database
 from ..engine.optimizer import OptimizerProfile
 from ..engine.planner import PlannedQuery
-from ..resilience.channel import ResilientChannel
 from ..sql import ast_nodes as ast
 from ..storage.table import Table
+from ..udf.registry import ProcessChannel
 from ..udf.state import StatsStore
 from .base import EngineAdapter
 
@@ -53,7 +53,7 @@ class DatabaseAdapter(EngineAdapter):
         database: Optional[Database] = None,
         *,
         stats: Optional[StatsStore] = None,
-        channel: Optional[ResilientChannel] = None,
+        channel: Optional[ProcessChannel] = None,
         durability_dir: Optional[Any] = None,
     ) -> None:
         self.database = database or Database(
@@ -140,13 +140,15 @@ class RowStoreAdapter(DatabaseAdapter):
 
     ``isolation="channel"`` (default)
         Every UDF batch pays a pickle round trip through a
-        :class:`~repro.resilience.channel.ResilientChannel` — the
-        serialization cost of the boundary, in-process.
+        :class:`~repro.udf.registry.ProcessChannel` — the serialization
+        cost of the boundary, in-process.  The tuple executor calls UDFs
+        per value in process, so only batch invocations (``call_*``,
+        ``QFusor.profile_udfs``) cross it.
     ``isolation="process"``
         UDF batches execute in real supervised worker processes
         (:class:`~repro.resilience.workers.WorkerPool`): the boundary
         gains real crash semantics — worker death, OOM kills, hang
-        kills — on top of the serialization cost.  Tune the pool on the
+        kills — on top of the same pickle cost.  Tune the pool on the
         pool: ``adapter.workers.configure(...)``.
     """
 
@@ -165,9 +167,7 @@ class RowStoreAdapter(DatabaseAdapter):
         if isolation not in ("channel", "process"):
             raise ValueError(f"unknown isolation mode {isolation!r}")
         self.isolation = isolation
-        # The hardened pickle channel: per-batch timeout, bounded retries
-        # with backoff, corruption detection with in-process degradation.
-        self.channel = ResilientChannel()
+        self.channel = ProcessChannel()
         self._open(
             stats=stats, channel=self.channel, durability_dir=durability_dir
         )

@@ -232,7 +232,7 @@ class UdfExecutionError(UdfError):
 #: The concrete exception set one UDF invocation is expected to produce:
 #: user-code failures that the row-level policies (reinterpret / null /
 #: skip / raise) may absorb.  Deliberately excludes the library's own
-#: infrastructure failures (:class:`ChannelError`, :class:`WorkerError`,
+#: infrastructure failures (:class:`WorkerError`,
 #: :class:`GovernanceError`) and the ``BaseException``-derived
 #: :class:`QueryInterrupt` family — those must unwind to their own
 #: boundaries, never be swallowed as a bad row.  :class:`UdfExecutionError`
@@ -492,10 +492,6 @@ class CircuitOpenError(GovernanceError):
         self.retry_in_s = retry_in_s
 
 
-class ChannelError(ReproError):
-    """Base class for out-of-process channel failures."""
-
-
 class WorkerError(ReproError):
     """Base class for UDF worker-pool failures (process isolation)."""
 
@@ -566,14 +562,6 @@ class BatchQuarantinedError(WorkerError):
         self.udf_name = udf_name
         self.crashes = crashes
         self.fingerprint = fingerprint
-
-
-class ChannelTimeoutError(ChannelError):
-    """Raised when a channel transfer exceeds its per-batch timeout."""
-
-
-class ChannelCorruptionError(ChannelError):
-    """Raised when a channel payload fails to round-trip (corrupt pickle)."""
 
 
 class JitError(ReproError):

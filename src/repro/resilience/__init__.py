@@ -14,12 +14,12 @@ three mechanisms QFusor uses to keep that promise at runtime:
   watchdog, and the bounded admission gate;
 * :mod:`~repro.resilience.breaker` — per-UDF sliding-window circuit
   breakers (error rate + latency percentiles);
-* :mod:`~repro.resilience.channel` — the hardened out-of-process
-  channel (timeouts, bounded retries, corruption detection).  Imported
-  lazily via its submodule to avoid a cycle with ``repro.udf.registry``;
 * :mod:`~repro.resilience.workers` — the supervised process-isolated
   UDF worker pool (heartbeats, restart budgets, memory caps, hang
-  kills, poisoned-batch quarantine).
+  kills, poisoned-batch quarantine).  It is the one place a UDF
+  boundary really fails; the row store's modeled pickle channel
+  (:class:`~repro.udf.registry.ProcessChannel`) has no failure
+  handling because it has no failures.
 """
 
 from .blocklist import FusionBlocklist

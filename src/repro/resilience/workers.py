@@ -1,10 +1,11 @@
 """Process-isolated UDF worker pool with supervision and quarantine.
 
 The row-store deployment models PostgreSQL's out-of-process PL/Python
-boundary.  :class:`~repro.resilience.channel.ResilientChannel` hardens
-the *serialization* half of that boundary; this module supplies the
-*process* half: a supervised pool of real ``multiprocessing`` workers
-that UDF batches execute in, with real crash semantics.
+boundary.  :class:`~repro.udf.registry.ProcessChannel` models its
+*serialization* cost in-process; this module supplies the *process*
+half: a supervised pool of real ``multiprocessing`` workers that UDF
+batches execute in, with real crash semantics.  Every batch crosses the
+pipe as one pickle of its arguments and one pickle of its result.
 
 Supervision model (one :class:`WorkerPool` per adapter):
 
@@ -28,8 +29,8 @@ Supervision model (one :class:`WorkerPool` per adapter):
   :class:`~repro.errors.WorkerCrashError`; the batch is retried on a
   fresh worker, and a batch that crashes ``max_batch_retries`` workers
   is *quarantined*: depending on policy it degrades to in-process
-  execution (default, mirroring the resilient channel's degrade path)
-  or raises :class:`~repro.errors.BatchQuarantinedError`.
+  execution (default) or raises
+  :class:`~repro.errors.BatchQuarantinedError`.
 
 Deadlines propagate *into* workers: each call carries the governed
 query's remaining slack, and the worker activates a
@@ -153,142 +154,6 @@ def _worker_sabotage(fault: Dict[str, Any]) -> None:
             sink.append(bytearray(min(target, 1 << 26)))
 
 
-# ----------------------------------------------------------------------
-# Buffer transport (columnar plane): typed frames over shared memory
-# ----------------------------------------------------------------------
-#
-# With ``buffer_transport`` enabled, scalar batches whose argument
-# columns pass the strict type scan ship as contiguous typed frames in a
-# ``multiprocessing.shared_memory`` segment: only a tiny pickled meta
-# structure (and the segment name) crosses the pipe.  The worker replies
-# the same way through a sibling segment (request name + ``"r"``).  When
-# shared memory is unavailable the frames ride the pipe inline, which
-# still skips per-value boxing.  Anything the type scan cannot vouch for
-# falls back to classic object-list pickling, so the fast transport can
-# never change results.
-
-
-def _shm_untrack(seg) -> None:
-    """Balance the resource tracker for a handle that will never call
-    ``unlink`` from this process.  ``SharedMemory.__init__`` registers
-    every handle (create *and* attach) and only ``unlink`` unregisters;
-    without this, read-only attaches and worker-created reply segments
-    would accumulate phantom tracker entries."""
-    try:  # pragma: no cover - tracker layout varies across versions
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:
-        pass
-
-
-def _shm_create(size: int, name: Optional[str] = None):
-    """Create a segment; the tracker registration stays live until the
-    creating/unlinking side balances it (``unlink`` or ``_shm_untrack``)."""
-    from multiprocessing import shared_memory
-
-    return shared_memory.SharedMemory(
-        name=name, create=True, size=max(1, size)
-    )
-
-
-def _shm_attach(name: str):
-    """Attach read-only: immediately untracked, since this process will
-    not be the one to ``unlink`` under this handle."""
-    from multiprocessing import shared_memory
-
-    seg = shared_memory.SharedMemory(name=name)
-    _shm_untrack(seg)
-    return seg
-
-
-def _shm_try_unlink(name: str) -> None:
-    """Unlink a segment that may or may not exist (reply disposal and
-    crash cleanup).  The attach registers with the tracker and the
-    unlink unregisters, so the pair is balanced."""
-    from multiprocessing import shared_memory
-
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError, ValueError, ImportError):
-        return
-    try:
-        seg.unlink()
-    except (FileNotFoundError, OSError):  # pragma: no cover - raced away
-        _shm_untrack(seg)
-    seg.close()
-
-
-def _decode_call_args(payload) -> Tuple[tuple, Optional[str]]:
-    """Worker-side: decode a call payload into the args tuple.
-
-    Returns ``(args, reply_via)`` where ``reply_via`` selects the reply
-    encoding: ``None`` (classic pickle), ``"frames"`` (typed frames
-    inline on the pipe), or a shared-memory segment name the typed reply
-    should be written to.
-    """
-    if isinstance(payload, bytes):
-        return pickle.loads(payload), None
-    from ..columnar import transport
-
-    form = payload[0]
-    if form == "frames":
-        _, meta_blob, frames = payload
-        return (
-            _transport_args(meta_blob, list(frames)),
-            "frames",
-        )
-    if form == "shm":
-        _, meta_blob, seg_name = payload
-        seg = _shm_attach(seg_name)
-        try:
-            frames = transport.split_frames(seg.buf)
-        finally:
-            seg.close()
-        return _transport_args(meta_blob, frames), seg_name + "r"
-    raise WorkerError(f"unknown call payload form {form!r}")
-
-
-def _transport_args(meta_blob: bytes, frames) -> tuple:
-    """Rebuild the batch args tuple from packed meta + frames."""
-    from ..columnar import transport
-
-    metas, shape = pickle.loads(meta_blob)
-    columns = transport.unpack_columns(metas, frames)
-    if shape[0] == "scalar":
-        return (columns, shape[1])
-    # aggregate: the group-id vector rides as the trailing column.
-    return (columns[:-1], shape[1], tuple(columns[-1]), shape[2])
-
-
-def _encode_result(result: Any, reply_via: Optional[str]) -> tuple:
-    """Worker-side: build the reply, typed when the batch arrived typed
-    and the result passes the strict scan; classic pickle otherwise."""
-    if reply_via is None or not isinstance(result, list):
-        return ("ok", pickle.dumps(result))
-    from ..columnar import transport
-
-    packed = transport.pack_columns([result])
-    if packed is None:
-        return ("ok", pickle.dumps(result))
-    metas, frames = packed
-    meta_blob = pickle.dumps((metas, len(result)))
-    if reply_via == "frames":
-        return ("ok_frames", meta_blob, tuple(frames))
-    joined = transport.join_frames(frames)
-    try:
-        seg = _shm_create(len(joined), name=reply_via)
-    except (OSError, ValueError):
-        # Segment name collision or /dev/shm unavailable: pickle wins.
-        return ("ok", pickle.dumps(result))
-    _shm_untrack(seg)  # the parent unlinks the reply, not this worker
-    try:
-        seg.buf[: len(joined)] = joined
-    finally:
-        seg.close()
-    return ("ok_shm", meta_blob, reply_via)
-
-
 def _exc_reply(exc: BaseException) -> Tuple[str, Any]:
     """Build the error reply for ``exc``, verified round-trippable."""
     try:
@@ -392,7 +257,7 @@ def _serve(conn, installed: Dict[str, Tuple[int, Any, Any]]) -> None:
                 conn.send(_exc_reply(exc))
             continue
         if op == "call":
-            _, name, version, kind, payload, slack, fault = msg
+            _, name, version, kind, args_blob, slack, fault = msg
             entry = installed.get(name)
             if entry is None or entry[0] != version:
                 conn.send(("err_repr", "WorkerError",
@@ -402,10 +267,9 @@ def _serve(conn, installed: Dict[str, Tuple[int, Any, Any]]) -> None:
             try:
                 if fault is not None:
                     _worker_sabotage(fault)
-                args, reply_via = _decode_call_args(payload)
-                result = _worker_execute(definition, wrapper, kind, args,
-                                         slack)
-                conn.send(_encode_result(result, reply_via))
+                result = _worker_execute(definition, wrapper, kind,
+                                         pickle.loads(args_blob), slack)
+                conn.send(("ok", pickle.dumps(result)))
             except MemoryError:
                 raise
             except BaseException as exc:
@@ -526,13 +390,11 @@ class WorkerPool:
         heartbeat_timeout_s: float = 1.0,
         start_method: Optional[str] = None,
         max_incidents: int = 256,
-        buffer_transport: bool = False,
     ):
         if quarantine_policy not in ("degrade", "fail"):
             raise ValueError(
                 f"unknown quarantine policy {quarantine_policy!r}"
             )
-        self.buffer_transport = bool(buffer_transport)
         self.pool_size = max(1, int(pool_size))
         self.max_restarts = max(0, int(max_restarts))
         self.restart_backoff_s = restart_backoff_s
@@ -565,7 +427,7 @@ class WorkerPool:
         self.quarantined: Dict[str, int] = {}
         #: Crash counts per live (not yet quarantined) batch fingerprint.
         self._batch_crashes: Dict[str, int] = {}
-        #: Bounded supervision log (mirrors ResilientChannel.incidents).
+        #: Bounded supervision log; overflow counted in incidents_dropped.
         self.incidents: List[WorkerIncident] = []
         self.incidents_dropped = 0
         # -- counters (under self._lock) --
@@ -574,8 +436,8 @@ class WorkerPool:
         self.degraded = 0
         self.batches = 0
         self.heartbeat_failures = 0
-        #: Cumulative bytes shipped across the pipe (both directions)
-        #: and the last batch's breakdown, by transport.
+        #: Cumulative pickled bytes shipped across the pipe (both
+        #: directions) and the last batch's ``sent``/``received``.
         self.bytes_sent = 0
         self.bytes_received = 0
         self.last_batch_bytes: Optional[Dict[str, Any]] = None
@@ -596,7 +458,6 @@ class WorkerPool:
             "max_restarts", "restart_backoff_s", "memory_limit_mb",
             "max_batch_retries", "quarantine_policy", "batch_timeout_s",
             "heartbeat_interval_s", "heartbeat_timeout_s",
-            "buffer_transport",
         )
         for key, value in knobs.items():
             if key not in allowed:
@@ -829,26 +690,13 @@ class WorkerPool:
             # The definition cannot cross a process boundary (runtime-
             # generated fused trace): run it in-process, recorded once.
             return self._fallback(fallback)
-        plan = (
-            self._transport_plan(kind, args)
-            if self.buffer_transport and kind in ("scalar", "aggregate")
-            else None
-        )
-        if plan is not None:
-            meta_blob, joined = plan
-            payload_source: Any = plan
-            fingerprint = self._fingerprint(
-                name, kind, meta_blob + hashlib.md5(joined).digest()
-            )
-        else:
-            try:
-                args_blob = pickle.dumps(args)
-            except (pickle.PickleError, TypeError, AttributeError,
-                    ValueError) as exc:
-                self._record("unpicklable", name, detail=f"args: {exc!r}")
-                return self._fallback(fallback)
-            payload_source = args_blob
-            fingerprint = self._fingerprint(name, kind, args_blob)
+        try:
+            args_blob = pickle.dumps(args)
+        except (pickle.PickleError, TypeError, AttributeError,
+                ValueError) as exc:
+            self._record("unpicklable", name, detail=f"args: {exc!r}")
+            return self._fallback(fallback)
+        fingerprint = self._fingerprint(name, kind, args_blob)
         quarantine_crashes = self.quarantined.get(fingerprint)
         if quarantine_crashes is not None:
             return self._quarantine_outcome(
@@ -861,7 +709,7 @@ class WorkerPool:
                 context.check()
             try:
                 result = self._dispatch_once(
-                    wire, name, kind, payload_source, context
+                    wire, name, kind, args_blob, context
                 )
             except WorkerCrashError as exc:
                 crashes = self._note_crash(
@@ -1045,91 +893,19 @@ class WorkerPool:
                 return hook((name,) + tuple(fused_from))
         return None
 
-    def _transport_plan(
-        self, kind: str, args: tuple
-    ) -> Optional[Tuple[bytes, bytes]]:
-        """Pack batch args into ``(meta_blob, joined_frames)``, or
-        ``None`` when any column fails the strict type scan (classic
-        pickling then owns the batch)."""
-        try:
-            from ..columnar import transport
-
-            if kind == "scalar":
-                raw, size = args
-                columns = list(raw)
-                shape: tuple = ("scalar", size)
-            else:  # aggregate
-                raw, size, group_ids, num_groups = args
-                # Group ids arrive as numpy ints; they are pure indices,
-                # so normalizing to Python ints cannot change results.
-                import numpy as _np
-
-                gids = _np.asarray(group_ids, dtype=_np.int64).tolist()
-                columns = list(raw) + [gids]
-                shape = ("aggregate", size, int(num_groups))
-            packed = transport.pack_columns(columns)
-            if packed is None:
-                return None
-            metas, frames = packed
-            return (
-                pickle.dumps((metas, shape)),
-                transport.join_frames(frames),
-            )
-        except Exception:
-            return None
-
-    def _encode_payload(
-        self, payload_source: Any
-    ) -> Tuple[Any, Optional[Any], int, str]:
-        """Build the wire payload for one dispatch attempt.
-
-        Returns ``(payload, request_seg, sent_bytes, transport)`` where
-        ``request_seg`` is the shared-memory segment holding the frames
-        (``None`` for pickle/inline-frames payloads) and ``sent_bytes``
-        counts what actually crosses the pipe.
-        """
-        if isinstance(payload_source, bytes):
-            return payload_source, None, len(payload_source), "pickle"
-        from ..columnar import transport
-
-        meta_blob, joined = payload_source
-        try:
-            seg = _shm_create(len(joined))
-            seg.buf[: len(joined)] = joined
-            payload = ("shm", meta_blob, seg.name)
-            return payload, seg, len(meta_blob) + len(seg.name), "shm"
-        except (OSError, ValueError, ImportError):
-            frames = tuple(transport.split_frames(joined))
-            payload = ("frames", meta_blob, frames)
-            return payload, None, len(meta_blob) + len(joined), "frames"
-
-    @staticmethod
-    def _reply_bytes(reply: tuple) -> int:
-        tag = reply[0]
-        if tag == "ok":
-            return len(reply[1])
-        if tag == "ok_frames":
-            return len(reply[1]) + sum(len(f) for f in reply[2])
-        if tag == "ok_shm":
-            return len(reply[1]) + len(reply[2])
-        return 0
-
-    def _account_bytes(self, transport: str, sent: int,
-                       received: int) -> None:
+    def _account_bytes(self, sent: int, received: int) -> None:
         with self._lock:
             self.bytes_sent += sent
             self.bytes_received += received
-            self.last_batch_bytes = {
-                "transport": transport, "sent": sent, "received": received,
-            }
+            self.last_batch_bytes = {"sent": sent, "received": received}
         if OBS.metrics:
             METRICS.histogram(
                 "repro_worker_boundary_bytes", DEFAULT_BYTES_BUCKETS,
-                transport=transport, direction="send",
+                direction="send",
             ).observe(sent)
             METRICS.histogram(
                 "repro_worker_boundary_bytes", DEFAULT_BYTES_BUCKETS,
-                transport=transport, direction="recv",
+                direction="recv",
             ).observe(received)
 
     def _dispatch_once(
@@ -1137,12 +913,10 @@ class WorkerPool:
         wire: _WireUdf,
         name: str,
         kind: str,
-        payload_source: Any,
+        args_blob: bytes,
         context: Optional[QueryContext],
     ) -> Any:
         worker = self._acquire(context)
-        request_seg = None
-        reply_seg_name: Optional[str] = None
         try:
             with worker.lock:
                 if not worker.alive():
@@ -1154,13 +928,8 @@ class WorkerPool:
                         name, tuple(getattr(wire.definition,
                                             "fused_from", ()) or ()),
                     )
-                    payload, request_seg, sent_bytes, transport_used = (
-                        self._encode_payload(payload_source)
-                    )
-                    if request_seg is not None:
-                        reply_seg_name = request_seg.name + "r"
                     worker.conn.send((
-                        "call", name, wire.version, kind, payload,
+                        "call", name, wire.version, kind, args_blob,
                         worker_deadline, fault,
                     ))
                     reply = self._await_reply(worker, kill_after, context,
@@ -1181,21 +950,10 @@ class WorkerPool:
             worker.consecutive_failures = 0
             worker.last_seen = time.monotonic()
             result = self._decode_reply(reply, name)
-            self._account_bytes(
-                transport_used, sent_bytes, self._reply_bytes(reply)
-            )
+            # Only an ``("ok", blob)`` reply decodes without raising.
+            self._account_bytes(len(args_blob), len(reply[1]))
             return result
         finally:
-            if request_seg is not None:
-                try:
-                    request_seg.unlink()
-                except (FileNotFoundError, OSError):
-                    _shm_untrack(request_seg)
-                request_seg.close()
-            if reply_seg_name is not None:
-                # The worker's typed reply segment (already read on the
-                # success path; possibly orphaned by a crash).
-                _shm_try_unlink(reply_seg_name)
             self._release(worker)
 
     def _install_on(self, worker: _WorkerHandle, name: str,
@@ -1258,21 +1016,6 @@ class WorkerPool:
         tag = reply[0]
         if tag == "ok":
             return pickle.loads(reply[1])
-        if tag == "ok_frames":
-            from ..columnar import transport
-
-            metas, _n = pickle.loads(reply[1])
-            return transport.unpack_columns(metas, list(reply[2]))[0]
-        if tag == "ok_shm":
-            from ..columnar import transport
-
-            metas, _n = pickle.loads(reply[1])
-            seg = _shm_attach(reply[2])
-            try:
-                frames = transport.split_frames(seg.buf)
-            finally:
-                seg.close()
-            return transport.unpack_columns(metas, frames)[0]
         if tag == "err":
             raise pickle.loads(reply[1])
         if tag == "err_repr":

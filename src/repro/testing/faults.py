@@ -16,9 +16,6 @@ no randomness:
 ``boundary_error``
     Raise during a C -> Python boundary conversion (models a corrupt
     serialized payload, e.g. ``json.loads`` on mangled bytes).
-``channel``
-    Make the out-of-process pickle channel misbehave: ``"timeout"``,
-    ``"corrupt"`` (mangled blob), or ``"drop"`` (transfer error).
 ``worker_crash`` / ``worker_hang`` / ``worker_oom``
     Sabotage a process-isolated UDF worker with *real* failure modes —
     the spec is shipped to the worker with the batch and executed there:
@@ -92,14 +89,6 @@ class _BoundaryFault:
         self.remaining = times
 
 
-class _ChannelFault:
-    __slots__ = ("mode", "remaining")
-
-    def __init__(self, mode, times):
-        self.mode = mode
-        self.remaining = times
-
-
 class _DurabilityFault:
     __slots__ = ("stage", "at", "cut", "action", "fired")
 
@@ -128,7 +117,6 @@ class FaultInjector:
     def __init__(self):
         self._row_faults: List[_RowFault] = []
         self._boundary_faults: List[_BoundaryFault] = []
-        self._channel_faults: List[_ChannelFault] = []
         self._worker_faults: List[_WorkerFault] = []
         self._durability_faults: List[_DurabilityFault] = []
         #: Per-stage counters of durability fault points reached.
@@ -169,13 +157,6 @@ class FaultInjector:
     ) -> "FaultInjector":
         """Raise during C -> Python conversion of ``sql_type`` values."""
         self._boundary_faults.append(_BoundaryFault(sql_type, times))
-        return self
-
-    def channel(self, mode: str, *, times: int = 1) -> "FaultInjector":
-        """Make the process channel fail: timeout | corrupt | drop."""
-        if mode not in ("timeout", "corrupt", "drop"):
-            raise ValueError(f"unknown channel fault mode {mode!r}")
-        self._channel_faults.append(_ChannelFault(mode, times))
         return self
 
     def worker_crash(
@@ -321,17 +302,6 @@ class FaultInjector:
             raise InjectedFault(
                 f"injected boundary fault converting {sql_type}"
             )
-
-    def channel_fault(self) -> Optional[str]:
-        """Hook consulted per channel transfer attempt; returns a mode."""
-        for fault in self._channel_faults:
-            if fault.remaining <= 0:
-                continue
-            fault.remaining -= 1
-            self.fired += 1
-            self.log.append(("channel", fault.mode))
-            return fault.mode
-        return None
 
     def worker_fault(self, names: Sequence[str]) -> Optional[dict]:
         """Hook consulted by the worker pool per batch dispatch.

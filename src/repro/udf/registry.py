@@ -14,6 +14,7 @@ same path (section 5.3), so the registry is also the fused-UDF registry.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -80,17 +81,11 @@ class RegisteredUdf:
 
     def _kernel_policy(self):
         """The columnar policy when a batch may run on the typed-buffer
-        kernels: the plane is enabled and there is no worker pool or
+        kernels: the plane is attached and there is no worker pool or
         modeled channel whose boundary a kernel would skip."""
         registry = self._registry
-        policy = registry.columnar
-        if (
-            policy is not None
-            and policy.enabled
-            and registry.workers is None
-            and registry.channel is None
-        ):
-            return policy
+        if registry.workers is None and registry.channel is None:
+            return registry.columnar
         return None
 
     def _invoke_batch(self, kind: str, entry: Callable[..., Any],
@@ -362,24 +357,22 @@ class ProcessChannel:
     Every batch of arguments and results crosses a serialized channel —
     a real ``pickle`` round trip — reproducing the inter-process
     communication overhead the paper measures on engines that run UDFs
-    in separate processes.
+    in separate processes.  It is a metered cost model, not a transport:
+    nothing in it can fail short of the payload not pickling, and real
+    process failures live in :class:`~repro.resilience.workers.WorkerPool`.
     """
 
     def __init__(self):
-        import pickle
-
-        self._dumps = pickle.dumps
-        self._loads = pickle.loads
         self.crossings = 0
 
     def transfer(self, payload: Any) -> Any:
         self.crossings += 1
-        blob = self._dumps(payload)
+        blob = pickle.dumps(payload)
         if OBS.metrics:
             METRICS.histogram(
                 "repro_boundary_bytes", DEFAULT_BYTES_BUCKETS, channel="pickle"
             ).observe(len(blob))
-        return self._loads(blob)
+        return pickle.loads(blob)
 
 
 class UdfRegistry:
@@ -415,7 +408,7 @@ class UdfRegistry:
         #: round-tripping the modeled pickle channel.
         self.workers = workers
         #: Columnar-plane policy (:class:`repro.columnar.ColumnarPolicy`);
-        #: when attached and enabled, eligible scalar batches run on the
+        #: when attached, eligible scalar batches run on the
         #: batch-at-a-time kernel path instead of the per-row wrapper.
         self.columnar: Optional[Any] = None
         #: Per-UDF circuit breakers (disabled until ``breakers.configure``).

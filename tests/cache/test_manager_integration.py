@@ -162,7 +162,7 @@ class TestGovernancePolicy:
     def test_fault_injection_blocks_population(self):
         report = SimpleNamespace(
             deopt_events=[], row_events=[], breaker_bypass=False,
-            channel_events=[], worker_events=[],
+            worker_events=[],
         )
         assert CacheManager.storeable(report)
         runtime.FAULTS.armed = True
@@ -172,17 +172,16 @@ class TestGovernancePolicy:
             runtime.FAULTS.armed = False
 
     def test_degraded_reports_block_population(self):
-        for field in ("deopt_events", "row_events", "channel_events",
-                      "worker_events"):
+        for field in ("deopt_events", "row_events", "worker_events"):
             report = SimpleNamespace(
                 deopt_events=[], row_events=[], breaker_bypass=False,
-                channel_events=[], worker_events=[],
+                worker_events=[],
             )
             setattr(report, field, ["incident"])
             assert not CacheManager.storeable(report)
         report = SimpleNamespace(
             deopt_events=[], row_events=[], breaker_bypass=True,
-            channel_events=[], worker_events=[],
+            worker_events=[],
         )
         assert not CacheManager.storeable(report)
 

@@ -74,9 +74,7 @@ class TestQueryParity:
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_udfbench_parity(self, engine, threads):
         adapter = make_adapter(engine)
-        adapter.enable_columnar(
-            enabled=True, morsel_size=MORSEL_SIZE, threads=threads
-        )
+        adapter.enable_columnar(morsel_size=MORSEL_SIZE, threads=threads)
         udfbench.setup(adapter, "tiny", seed=11)
         try:
             assert run_all(adapter) == classic_results(engine)
@@ -95,9 +93,9 @@ class TestQueryParity:
 
 
     def test_disabled_plane_builds_the_plain_executor(self):
-        # Structurally free when off: a never-enabled, a disabled and a
-        # detached plane all give the vector executor no scheduler, so
-        # no operator ever consults a sharding decision.
+        # Structurally free when off: a never-enabled and a detached
+        # plane both give the vector executor no scheduler, so no
+        # operator ever consults a sharding decision.
         adapter = MiniDbAdapter()
         try:
             def scheduler():
@@ -106,9 +104,7 @@ class TestQueryParity:
                 return executor.scheduler
 
             assert scheduler() is None
-            adapter.enable_columnar(enabled=False)
-            assert scheduler() is None
-            adapter.enable_columnar(enabled=True)
+            adapter.enable_columnar()
             assert scheduler() is adapter.columnar.scheduler
             adapter.disable_columnar()
             assert scheduler() is None

@@ -1,18 +1,21 @@
 """Unit tests for the SQL-rewrite path and the configuration profiles."""
 
 import dataclasses
+import importlib
 import inspect
 import pathlib
 import re
 
 import pytest
 
+from repro.columnar import ColumnarPolicy
 from repro.core import QFusorConfig
 from repro.engines import (
     DuckDbLikeAdapter, MiniDbAdapter, ParallelDbAdapter, RowStoreAdapter,
     TupleDbAdapter,
 )
 from repro.core.rewrite import rewrite_statement, rewrite_sql
+from repro.resilience.workers import WorkerPool
 from repro.sql import ast, parse, to_sql
 from repro.storage import Catalog, Table
 from repro.types import SqlType
@@ -165,7 +168,13 @@ REMOVED_ADAPTER_ALIASES = (
 )
 REMOVED_ADAPTER_FORWARDERS = (
     "wal_enabled", "wal_fsync", "checkpoint_threshold",
-    "checkpoint_interval_s", "morsel_size", "buffer_transport",
+    "checkpoint_interval_s", "morsel_size",
+)
+#: The hardened channel and the typed-frame transport are gone: every UDF
+#: batch crosses a boundary as pickle, so docs must not name them at all.
+REMOVED_BOUNDARY_NAMES = (
+    "ResilientChannel", "buffer_transport", "channel_events",
+    "ChannelDegradedWarning",
 )
 ADAPTER_FAMILY = (
     MiniDbAdapter, RowStoreAdapter, TupleDbAdapter, DuckDbLikeAdapter,
@@ -204,7 +213,7 @@ class TestKnobRatchet:
     @pytest.mark.parametrize(
         "name",
         REMOVED_ADAPTER_ALIASES + REMOVED_ADAPTER_FORWARDERS
-        + ("morsel_threads",),
+        + ("morsel_threads", "buffer_transport"),
     )
     def test_removed_adapter_parameters_are_rejected(self, name):
         for cls in ADAPTER_FAMILY:
@@ -214,9 +223,43 @@ class TestKnobRatchet:
     @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
     def test_docs_do_not_list_removed_knobs(self, doc):
         text = (pathlib.Path(__file__).parents[2] / doc).read_text()
-        for name in set(REMOVED_KNOBS + REMOVED_ADAPTER_ALIASES):
+        for name in set(
+            REMOVED_KNOBS + REMOVED_ADAPTER_ALIASES + REMOVED_BOUNDARY_NAMES
+        ):
             stale = re.search(rf"\b{name}\b", text)
             assert stale is None, f"{doc} still documents {name!r}"
         for name in REMOVED_ADAPTER_FORWARDERS:
             stale = re.search(rf"\w+Adapter\([^)]*\b{name}\b", text)
             assert stale is None, f"{doc} still passes {name!r} to an adapter"
+
+
+class TestBoundaryRatchet:
+    """Pickle is the one encoding across a UDF boundary; the typed-frame
+    transport, its switches and the hardened channel stay deleted."""
+
+    @pytest.mark.parametrize("name", ["buffer_transport", "enabled"])
+    def test_columnar_policy_rejects_removed_fields(self, name):
+        assert len(dataclasses.fields(ColumnarPolicy)) == 2
+        with pytest.raises(TypeError):
+            ColumnarPolicy(**{name: True})
+        adapter = MiniDbAdapter()
+        with pytest.raises(TypeError):
+            adapter.enable_columnar(**{name: True})
+        assert adapter.columnar is None
+
+    def test_worker_pool_rejects_buffer_transport(self):
+        with pytest.raises(TypeError):
+            WorkerPool(buffer_transport=True)
+        pool = WorkerPool(pool_size=1)
+        try:
+            with pytest.raises(AttributeError):
+                pool.configure(buffer_transport=True)
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.parametrize(
+        "module", ["repro.resilience.channel", "repro.columnar.transport"]
+    )
+    def test_deleted_modules_stay_deleted(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)

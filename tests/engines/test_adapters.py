@@ -8,6 +8,7 @@ from repro.engines import (
     DuckDbLikeAdapter, MiniDbAdapter, ParallelDbAdapter, RowStoreAdapter,
     TupleDbAdapter,
 )
+from repro.udf.registry import ProcessChannel
 from tests.conftest import TEST_UDFS, make_json_table, make_people_table
 
 ADAPTER_FACTORIES = [
@@ -102,6 +103,20 @@ class TestProfiles:
 
 
 class TestRowStoreChannel:
+    def test_adapter_uses_process_channel(self):
+        adapter = RowStoreAdapter()
+        assert type(adapter.channel) is ProcessChannel
+
+    def test_tuple_query_path_does_not_cross_channel(self):
+        """The tuple execution model invokes UDFs per value in process,
+        so a fused query leaves the channel untouched and still matches
+        the engine's own answer."""
+        adapter = load(RowStoreAdapter())
+        sql = "SELECT t_upper(t_lower(name)) AS n FROM people ORDER BY n"
+        reference = adapter.execute_sql(sql).to_rows()
+        assert QFusor(adapter).execute(sql).to_rows() == reference
+        assert adapter.channel.crossings == 0
+
     def test_udf_batches_cross_the_process_channel(self):
         adapter = load(RowStoreAdapter())
         adapter.execute_sql("SELECT t_lower(name) FROM people")
@@ -114,6 +129,32 @@ class TestRowStoreChannel:
         col = Column("v", SqlType.TEXT, ["A"])
         adapter.registry.get("t_lower").call_scalar([col], 1)
         assert adapter.channel.crossings == 2
+
+    def test_default_clients_leave_adapter_settings_alone(self):
+        """The worker pool and the breaker board are configured on their
+        owner; attaching default clients (a second one included — the
+        board is shared by every client of the adapter) must write to
+        neither of them."""
+        adapter = RowStoreAdapter(isolation="process")
+        try:
+            adapter.workers.configure(
+                max_batch_retries=1, batch_timeout_s=2.5
+            )
+            adapter.registry.breakers.configure(
+                enabled=True, window=8, min_calls=2, cooldown_s=60.0
+            )
+            QFusor(adapter)
+            QFusor(adapter)
+            pool = adapter.workers
+            assert pool.max_batch_retries == 1
+            assert pool.batch_timeout_s == 2.5
+            board = adapter.registry.breakers
+            assert board.enabled
+            assert (board.window, board.min_calls, board.cooldown_s) == (
+                8, 2, 60.0
+            )
+        finally:
+            adapter.close()
 
 
 class TestParallelAdapter:

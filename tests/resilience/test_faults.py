@@ -85,16 +85,6 @@ class TestBoundaryAndChannelFaults:
         with pytest.raises(InjectedFault):
             inj.fire_boundary(SqlType.TEXT)
 
-    def test_channel_fault_returns_mode_then_exhausts(self):
-        inj = FaultInjector().channel("corrupt", times=2)
-        assert inj.channel_fault() == "corrupt"
-        assert inj.channel_fault() == "corrupt"
-        assert inj.channel_fault() is None
-
-    def test_channel_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            FaultInjector().channel("explode")
-
 
 class TestInjectContextManager:
     def test_arms_and_disarms_global_hook(self):
@@ -113,8 +103,11 @@ class TestInjectContextManager:
 
     def test_log_records_firing_order(self):
         inj = FaultInjector().udf_exception("f", scope="any")
-        inj = inj.channel("drop")
+        inj = inj.boundary_error(SqlType.JSON)
         with pytest.raises(InjectedFault):
             inj.fire_row(("f",), 4, "interp")
-        inj.channel_fault()
-        assert inj.log == [("udf", "f@4/interp"), ("channel", "drop")]
+        with pytest.raises(InjectedFault):
+            inj.fire_boundary(SqlType.JSON)
+        assert inj.log == [
+            ("udf", "f@4/interp"), ("boundary", str(SqlType.JSON)),
+        ]

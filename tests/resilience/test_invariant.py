@@ -3,8 +3,6 @@ per-row UDF exceptions and with a poisoned trace cache, the fused
 execution returns the same row multiset as unfused execution on every
 engine — no aborts, and the report records each recovery."""
 
-import warnings
-
 import pytest
 
 from repro.core import QFusor
@@ -96,18 +94,3 @@ def test_poisoned_traces_preserve_results(references, adapter_cls,
         assert report.deopted
         assert all(e.recovered for e in report.deopt_events)
         assert report.deopt_events[-1].invalidated
-
-
-def test_channel_faults_preserve_results_on_row_store(references):
-    adapter = make_adapter(RowStoreAdapter)
-    adapter.channel.configure(retries=2, backoff=0.0)
-    qfusor = QFusor(adapter)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with inject(FaultInjector().channel("corrupt", times=4)) as inj:
-            # Profiling crosses the channel (batch invocation); the
-            # query itself runs per-value in process on this engine.
-            qfusor.profile_udfs("pubs")
-            result = qfusor.execute(ALL_SQL["Q1"])
-    assert inj.fired > 0, "channel faults must actually be exercised"
-    assert rows(result) == references(RowStoreAdapter, "Q1")

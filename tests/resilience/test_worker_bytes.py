@@ -1,24 +1,21 @@
-"""Per-batch shipped-bytes accounting and the buffer-transport gate.
+"""Per-batch shipped-bytes accounting on the worker pool.
 
-Satellite regression for the columnar transport: with
-``buffer_transport=True`` a scalar UDF batch must cross the process
-boundary as typed frames (shared memory or out-of-band pickle frames),
-shrinking shipped bytes at least 5x versus the classic object-list
-pickle — and the pool must account both encodings per batch through
-``last_batch_bytes`` / ``bytes_sent`` / ``bytes_received``.
+Every batch crosses the pipe as one pickle of its arguments and one
+pickle of its result; ``last_batch_bytes`` reports both sizes (the
+ledger's worker probe reads them), and the worker's answer must equal
+the in-process run of the same batch.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import time
 
 import numpy as np
 import pytest
 
 from repro.resilience.workers import WorkerPool, active_worker_pids
-from repro.udf import scalar_udf, aggregate_udf
+from repro.udf import aggregate_udf, scalar_udf
 
 
 @scalar_udf
@@ -51,135 +48,67 @@ def _assert_no_children(timeout: float = 5.0) -> None:
     assert active_worker_pids() == []
 
 
-@pytest.fixture
-def iso():
-    pools = []
+N = 4096
+INTS = list(range(N))
+WORDS = [f"word-{i}".encode() for i in range(512)]
+GROUP_IDS = np.asarray([i % 4 for i in range(N)], dtype=np.int64)
 
-    def make(**kw):
-        kw.setdefault("restart_backoff_s", 0.001)
-        pool = WorkerPool(**kw)
-        pools.append(pool)
-        return pool
 
-    yield make
-    for pool in pools:
+def _in_process(udf, kind, args):
+    """The same batch run by the parent's own wrapper."""
+    from repro.udf.wrappers import build_wrapper
+
+    definition = udf.__udf__
+    if kind == "value":
+        return definition.func(*args)
+    return build_wrapper(definition).entry(*args)
+
+
+#: kind -> (udf, wire kind, batch args)
+BATCHES = {
+    "scalar": (b_double, "scalar", ([INTS], N)),
+    "aggregate": (b_sum, "aggregate", ([INTS], N, GROUP_IDS, 4)),
+    "text": (b_upper, "scalar", ([WORDS], len(WORDS))),
+    "value": (b_double, "value", (21,)),
+}
+
+
+def _run(pool, case):
+    udf, kind, args = BATCHES[case]
+    return pool.run_batch(
+        udf.__udf__, kind, args,
+        fallback=lambda: pytest.fail("batch ran in-process"),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(BATCHES))
+def test_batch_accounting(case):
+    udf, kind, args = BATCHES[case]
+    expected = _in_process(udf, kind, args)
+    pool = WorkerPool(pool_size=1, restart_backoff_s=0.001)
+    try:
+        assert _run(pool, case) == expected
+        batch = pool.last_batch_bytes
+        assert batch["sent"] > 0 and batch["received"] > 0
+    finally:
         pool.shutdown()
     _assert_no_children()
 
 
-N = 4096
-INTS = list(range(N))
-
-
-def run_scalar(pool, udf=b_double, raw=None):
-    definition = udf.__udf__
-    raw = [INTS] if raw is None else raw
-    args = (raw, len(raw[0]))
-    return pool.run_batch(
-        definition, "scalar", args, size=len(raw[0]),
-        fallback=lambda: [definition.func(*vals) for vals in zip(*raw)],
-    )
-
-
-class TestTransportEngages:
-    def test_scalar_batch_ships_as_buffers(self, iso):
-        pool = iso(pool_size=1, buffer_transport=True)
-        assert run_scalar(pool) == [v * 2 for v in INTS]
-        batch = pool.last_batch_bytes
-        assert batch is not None
-        assert batch["transport"] in ("shm", "frames")
-        # 4096 int64s = 32 KiB of frames + tiny meta; the pickled
-        # object list is ~5 bytes per int plus list overhead.
-        pickled = len(pickle.dumps(([INTS], N)))
-        assert batch["sent"] * 5 <= pickled
-        assert batch["received"] > 0
-
-    def test_shm_is_the_preferred_lane(self, iso):
-        pool = iso(pool_size=1, buffer_transport=True)
-        run_scalar(pool)
-        assert pool.last_batch_bytes["transport"] == "shm"
-        # Shared memory ships only the segment name + meta in-band.
-        assert pool.last_batch_bytes["sent"] < 1024
-
-    def test_aggregate_batch_ships_as_buffers(self, iso):
-        pool = iso(pool_size=1, buffer_transport=True)
-        definition = b_sum.__udf__
-        group_ids = np.asarray([i % 4 for i in range(N)], dtype=np.int64)
-        args = ([INTS], N, group_ids, 4)
-        out = pool.run_batch(
-            definition, "aggregate", args, size=N,
-            fallback=lambda: None,
-        )
-        assert out == [sum(range(g, N, 4)) for g in range(4)]
-        assert pool.last_batch_bytes["transport"] in ("shm", "frames")
-
-    def test_text_batches_ship_as_buffers(self, iso):
-        pool = iso(pool_size=1, buffer_transport=True)
-        words = [f"word-{i}" for i in range(512)]
-        raw = [[w.encode() for w in words]]
-        out = run_scalar(pool, udf=b_upper, raw=raw)
-        assert out == [w.encode().upper() for w in words]
-        assert pool.last_batch_bytes["transport"] in ("shm", "frames")
-
-
-class TestClassicPath:
-    def test_disabled_by_default(self, iso):
-        pool = iso(pool_size=1)
-        assert pool.buffer_transport is False
-        run_scalar(pool)
-        assert pool.last_batch_bytes["transport"] == "pickle"
-
-    def test_untyped_payloads_fall_back_to_pickle(self, iso):
-        pool = iso(pool_size=1, buffer_transport=True)
-        # Exact-type heterogeneity (int vs bool) defeats the strict
-        # packer; the batch must still run, via the classic pickle lane.
-        out = run_scalar(pool, raw=[[1, True] * 8])
-        assert out == [2, 2] * 8
-        assert pool.last_batch_bytes["transport"] == "pickle"
-
-    def test_value_kind_never_takes_the_buffer_lane(self, iso):
-        pool = iso(pool_size=1, buffer_transport=True)
-        out = pool.run_batch(
-            b_double.__udf__, "value", (21,),
-            fallback=lambda: 42,
-        )
-        assert out == 42
-        assert pool.last_batch_bytes["transport"] == "pickle"
-
-    def test_configure_toggles_transport(self, iso):
-        pool = iso(pool_size=1)
-        run_scalar(pool)
-        assert pool.last_batch_bytes["transport"] == "pickle"
-        pool.configure(buffer_transport=True)
-        run_scalar(pool)
-        assert pool.last_batch_bytes["transport"] == "shm"
-        pool.configure(buffer_transport=False)
-        run_scalar(pool)
-        assert pool.last_batch_bytes["transport"] == "pickle"
-
-
 class TestAccounting:
-    def test_counters_accumulate(self, iso):
-        pool = iso(pool_size=1, buffer_transport=True)
-        run_scalar(pool)
-        sent_one, recv_one = pool.bytes_sent, pool.bytes_received
-        assert sent_one > 0 and recv_one > 0
-        run_scalar(pool)
-        assert pool.bytes_sent > sent_one
-        assert pool.bytes_received > recv_one
-
-    def test_five_x_reduction_regression_gate(self, iso):
-        """The acceptance gate: >=5x fewer shipped bytes per UDF batch."""
-        classic = iso(pool_size=1, buffer_transport=False)
-        buffered = iso(pool_size=1, buffer_transport=True)
-        run_scalar(classic)
-        run_scalar(buffered)
-        classic_total = (
-            classic.last_batch_bytes["sent"]
-            + classic.last_batch_bytes["received"]
-        )
-        buffered_total = (
-            buffered.last_batch_bytes["sent"]
-            + buffered.last_batch_bytes["received"]
-        )
-        assert buffered_total * 5 <= classic_total
+    def test_counters_accumulate(self):
+        pool = WorkerPool(pool_size=1, restart_backoff_s=0.001)
+        try:
+            _run(pool, "scalar")
+            batch = dict(pool.last_batch_bytes)
+            assert (pool.bytes_sent, pool.bytes_received) == (
+                batch["sent"], batch["received"]
+            )
+            _run(pool, "scalar")
+            # The cumulative counters add up both identical batches.
+            assert (pool.bytes_sent, pool.bytes_received) == (
+                2 * batch["sent"], 2 * batch["received"]
+            )
+        finally:
+            pool.shutdown()
+        _assert_no_children()
