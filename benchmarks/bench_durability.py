@@ -62,6 +62,9 @@ class _CountingStub:
     def log_table(self, table, epoch):
         self.calls += 1
 
+    def log_delta(self, name, delta, epoch):
+        self.calls += 1
+
     def log_drop(self, name, epoch):
         self.calls += 1
 

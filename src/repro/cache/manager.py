@@ -16,8 +16,9 @@ exposes.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import METRICS, OBS
 from ..obs import tracer as obs_tracer
@@ -114,21 +115,26 @@ class CacheManager:
     # Write tracking (snapshot-epoch invalidation)
     # ------------------------------------------------------------------
 
-    def note_write(self, statement: Any) -> None:
-        """Bump the snapshot epoch of every table a DML statement writes.
+    @contextmanager
+    def note_write(self, statement: Any) -> Iterator[None]:
+        """Around a DML statement: afterwards, touch each written table
+        whose snapshot epoch did not move while it ran.
 
-        Engines whose DML flows through :class:`~repro.storage.catalog.
-        Catalog` (the minidb family) bump epochs on their own; this hook
-        covers engines with external storage (the sqlite3 adapter), where
-        an INSERT executes inside the engine without touching our
-        catalog.  Double bumps are harmless — epochs only need to move.
+        Minidb-family DML bumps the epoch itself, and that bump is the
+        statement's one WAL record.  A touch covers engines with external
+        storage (the sqlite3 adapter), whose INSERT never reaches our
+        catalog, and statements that failed before writing.
         """
         catalog = self.adapter.catalog
-        for name in fingerprint.written_tables(statement):
-            catalog.touch(name)
-        if OBS.tracing:
-            written = fingerprint.written_tables(statement)
-            if written:
+        written = fingerprint.written_tables(statement)
+        before = [catalog.epoch(name) for name in written]
+        try:
+            yield
+        finally:
+            for name, epoch in zip(written, before):
+                if catalog.epoch(name) == epoch:
+                    catalog.touch(name)
+            if OBS.tracing and written:
                 obs_tracer.add_event(
                     "cache_epoch_bump", tables=",".join(written)
                 )

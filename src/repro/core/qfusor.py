@@ -378,12 +378,10 @@ class QFusor:
         if not caches.active:
             return self._run_pipeline(statement, report)
         if not isinstance(statement, ast.Select):
-            # DML/DDL: run normally, then retire dependent result-cache
-            # entries by bumping the written tables' snapshot epochs.
-            try:
+            # DML/DDL: run normally; dependent result-cache entries retire
+            # because the written tables' snapshot epochs move.
+            with caches.note_write(statement):
                 return self._run_pipeline(statement, report)
-            finally:
-                caches.note_write(statement)
         udfs = referenced_udfs(statement, self.adapter.registry)
         rkey = caches.result_key(statement, sql_text, udfs)
         if rkey is None:

@@ -7,7 +7,7 @@ whose expressions contain UDFs (paper section 4.2.5).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from ..obs import OBS
 from ..obs import tracer as obs_tracer
 from ..sql import ast_nodes as ast
 from ..sql.parser import parse
-from ..storage.catalog import Catalog
+from ..storage.catalog import Catalog, Delta
 from ..storage.column import Column
 from ..storage.table import Table
 from ..types import SqlType
@@ -191,81 +191,76 @@ class Database:
             for name, sql_type in table.schema
         ]
 
+    def _write(self, name: str, compute: Callable[[Table], Tuple[Delta, int]]) -> Table:
+        """Run one DML statement as a row delta against ``name``, computed
+        again whenever another writer replaced the table meanwhile."""
+        while True:
+            table = self.catalog.get(name)
+            delta, count = compute(table)
+            if self.catalog.write(name, delta, base=table):
+                return _rowcount_table(count)
+
+    def _matching_positions(self, table: Table, where: Optional[ast.Expr]):
+        """The evaluator over ``table`` and the row positions ``where``
+        selects (every row without one)."""
+        evaluator = VectorEvaluator(self._table_fields(table), self.resolver)
+        if where is None:
+            return evaluator, np.arange(table.num_rows)
+        mask = evaluator.predicate_mask(where, list(table.columns), table.num_rows)
+        return evaluator, np.flatnonzero(mask)
+
     def _execute_insert(self, statement: ast.Insert) -> Table:
-        table = self.catalog.get(statement.table)
-        target_names = list(statement.columns) or list(table.schema.names)
-        positions = [table.schema.position(n) for n in target_names]
-
-        if statement.query is not None:
-            source = self._execute_select(statement.query)
-            new_rows = source.to_rows()
-        else:
-            evaluator = VectorEvaluator([], self.resolver)
-            new_rows = []
-            for value_row in statement.values:
-                row = [
-                    evaluator.evaluate(expr, [], 1)[0] for expr in value_row
+        def compute(table: Table) -> Tuple[Delta, int]:
+            target_names = list(statement.columns) or list(table.schema.names)
+            positions = [table.schema.position(n) for n in target_names]
+            if statement.query is not None:
+                source = self._execute_select(statement.query)
+                rows = list(zip(*(col.to_list() for col in source.columns)))
+                widths = [source.num_columns]
+            else:
+                evaluator = VectorEvaluator([], self.resolver)
+                rows = [
+                    [evaluator.evaluate(expr, [], 1)[0] for expr in value_row]
+                    for value_row in statement.values
                 ]
-                new_rows.append(row)
+                widths = [len(row) for row in rows]
+            for width in widths:
+                if width != len(positions):
+                    raise ExecutionError(
+                        f"INSERT arity mismatch: {width} values for "
+                        f"{len(positions)} columns"
+                    )
+            given = dict(zip(positions, zip(*rows)))
+            new = {
+                i: Column(col.name, col.sql_type, given.get(i, [None] * len(rows)))
+                for i, col in enumerate(table.columns)
+            }
+            return Delta("insert", columns=new), len(rows)
 
-        full_rows = list(table.rows())
-        for row in new_rows:
-            if len(row) != len(positions):
-                raise ExecutionError(
-                    f"INSERT arity mismatch: {len(row)} values for "
-                    f"{len(positions)} columns"
-                )
-            padded: List[Any] = [None] * table.num_columns
-            for position, value in zip(positions, row):
-                padded[position] = value
-            full_rows.append(tuple(padded))
-        updated = Table.from_rows(table.name, list(table.schema), full_rows)
-        self.catalog.register(updated, replace=True)
-        return _rowcount_table(len(new_rows))
+        return self._write(statement.table, compute)
 
     def _execute_update(self, statement: ast.Update) -> Table:
-        table = self.catalog.get(statement.table)
-        fields = self._table_fields(table)
-        evaluator = VectorEvaluator(fields, self.resolver)
-        columns = list(table.columns)
-        size = table.num_rows
-        if statement.where is not None:
-            mask = evaluator.predicate_mask(statement.where, columns, size)
-        else:
-            mask = np.ones(size, dtype=bool)
+        def compute(table: Table) -> Tuple[Delta, int]:
+            # WHERE first; SET (and any UDF in it) then sees only the
+            # selected rows.
+            evaluator, positions = self._matching_positions(table, statement.where)
+            selected = [col.take(positions) for col in table.columns]
+            new = {}
+            for column_name, expr in statement.assignments:
+                position = table.schema.position(column_name)
+                target = table.columns[position]
+                computed = evaluator.evaluate(expr, selected, len(positions))
+                new[position] = Column(target.name, target.sql_type, computed.to_list())
+            return Delta("update", positions, new), len(positions)
 
-        new_columns = {}
-        for column_name, expr in statement.assignments:
-            position = table.schema.position(column_name)
-            target = table.columns[position]
-            computed = evaluator.evaluate(expr, columns, size, target.name)
-            old_values = target.to_list()
-            new_values = computed.to_list()
-            merged = [
-                new_values[i] if mask[i] else old_values[i] for i in range(size)
-            ]
-            new_columns[position] = Column(
-                target.name, target.sql_type, merged, validate=True
-            )
-        final = [
-            new_columns.get(i, col) for i, col in enumerate(table.columns)
-        ]
-        self.catalog.register(Table(table.name, final), replace=True)
-        return _rowcount_table(int(mask.sum()))
+        return self._write(statement.table, compute)
 
     def _execute_delete(self, statement: ast.Delete) -> Table:
-        table = self.catalog.get(statement.table)
-        fields = self._table_fields(table)
-        evaluator = VectorEvaluator(fields, self.resolver)
-        columns = list(table.columns)
-        size = table.num_rows
-        if statement.where is not None:
-            mask = evaluator.predicate_mask(statement.where, columns, size)
-        else:
-            mask = np.ones(size, dtype=bool)
-        keep = ~mask
-        self.catalog.register(table.filter(keep), replace=True)
-        return _rowcount_table(int(mask.sum()))
+        def compute(table: Table) -> Tuple[Delta, int]:
+            _, positions = self._matching_positions(table, statement.where)
+            return Delta("delete", positions), len(positions)
+
+        return self._write(statement.table, compute)
 
     def _execute_create(self, statement: ast.CreateTableAs) -> Table:
         result = self._execute_select(statement.query)

@@ -2,7 +2,7 @@
 
 from .column import Column
 from .table import Table, Schema
-from .catalog import Catalog
+from .catalog import Catalog, Delta
 from . import serde, csvio
 
-__all__ = ["Column", "Table", "Schema", "Catalog", "serde", "csvio"]
+__all__ = ["Column", "Table", "Schema", "Catalog", "Delta", "serde", "csvio"]

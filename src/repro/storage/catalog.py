@@ -5,10 +5,44 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterator, List, Optional
 
+import numpy as np
+
 from ..errors import CatalogError
+from .column import Column
 from .table import Table
 
-__all__ = ["Catalog", "TableStats"]
+__all__ = ["Catalog", "Delta", "TableStats"]
+
+
+class Delta:
+    """A row change to one table, as DML computes it and the WAL logs it:
+    ``insert`` (``columns`` maps every column position to the new rows),
+    ``update`` (the assigned positions to their new, already coerced
+    values at row ``positions``) or ``delete`` (row ``positions`` go)."""
+
+    __slots__ = ("op", "positions", "columns")
+
+    def __init__(self, op: str, positions=(),
+                 columns: Optional[Dict[int, Column]] = None):
+        self.op = op
+        self.positions = np.asarray(positions, dtype=np.int64)
+        self.columns = columns or {}
+
+    def apply(self, table: Table) -> Table:
+        """``table`` after this change, built from its columns with numpy
+        operations only (concat, copy-and-scatter, boolean filter)."""
+        if self.op == "delete":
+            keep = np.ones(table.num_rows, dtype=bool)
+            keep[self.positions] = False
+            return table.filter(keep)
+        columns = list(table.columns)
+        for i, new in self.columns.items():
+            old = columns[i]
+            columns[i] = (
+                Column.concat(old.name, [old, new]) if self.op == "insert"
+                else old.scatter(self.positions, new)
+            )
+        return Table(table.name, columns)
 
 
 class TableStats:
@@ -74,6 +108,39 @@ class Catalog:
             if self.durability is not None:
                 self.durability.log_table(table, epoch)
 
+    def write(
+        self,
+        name: str,
+        delta: Delta,
+        *,
+        base: Optional[Table] = None,
+        epoch: Optional[int] = None,
+    ) -> bool:
+        """Apply a row delta — the one write path of DML, WAL replay and
+        standby apply: build the new table, install it, bump the epoch
+        and log the delta as one step under the mutation lock.
+
+        ``base`` is the table the delta was computed against; if another
+        writer installed a different one first, nothing changes and False
+        is returned, so the caller recomputes.  Replay passes the logged
+        ``epoch``, which is restored instead of bumped, and logs nothing.
+        """
+        key = name.lower()
+        with self._lock:
+            table = self.get(name)
+            if base is not None and table is not base:
+                return False
+            self._tables[key] = delta.apply(table)
+            # Statistics are recomputed on their next use, not per write.
+            self._stats.pop(key, None)
+            if epoch is not None:
+                self.restore_epoch(key, epoch)
+                return True
+            epoch = self._bump(key)
+            if self.durability is not None:
+                self.durability.log_delta(table.name, delta, epoch)
+        return True
+
     def drop(self, name: str) -> None:
         """Remove a table."""
         key = name.lower()
@@ -81,7 +148,7 @@ class Catalog:
             if key not in self._tables:
                 raise CatalogError(f"unknown table {name!r}")
             del self._tables[key]
-            del self._stats[key]
+            self._stats.pop(key, None)
             epoch = self._bump(key)
             if self.durability is not None:
                 self.durability.log_drop(name, epoch)
@@ -116,7 +183,8 @@ class Catalog:
 
     # ------------------------------------------------------------------
     # Recovery restore hooks (durability-internal: no epoch bump beyond
-    # the recorded value, no WAL logging — replay must be idempotent)
+    # the recorded value, no WAL logging; delta records replay through
+    # write(epoch=...))
     # ------------------------------------------------------------------
 
     def restore_table(self, table: Table, epoch: Optional[int] = None) -> None:
@@ -153,11 +221,15 @@ class Catalog:
             raise CatalogError(f"unknown table {name!r}") from None
 
     def stats(self, name: str) -> TableStats:
-        """Statistics for a table."""
-        try:
-            return self._stats[name.lower()]
-        except KeyError:
-            raise CatalogError(f"unknown table {name!r}") from None
+        """Statistics for a table (recomputed here after a delta write)."""
+        key = name.lower()
+        stats = self._stats.get(key)
+        if stats is None:
+            with self._lock:
+                stats = self._stats.get(key)
+                if stats is None:
+                    stats = self._stats[key] = TableStats(self.get(name))
+        return stats
 
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._tables

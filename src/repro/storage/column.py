@@ -208,6 +208,15 @@ class Column:
         col._null = None if self._null is None else self._null[start:stop]
         return col
 
+    def scatter(self, positions: np.ndarray, values: "Column") -> "Column":
+        """A copy of this column with ``values`` written at ``positions``."""
+        data, null = self._data.copy(), None
+        data[positions] = values._data
+        if self._null is not None:
+            null = self._null.copy()
+            null[positions] = values.null_mask()
+        return Column.from_numpy(self.name, self.sql_type, data, null)
+
     @staticmethod
     def concat(name: str, columns: Sequence["Column"]) -> "Column":
         """Concatenate same-typed columns into one."""

@@ -11,8 +11,8 @@ Attach it to a live engine with :meth:`attach` (or the
 beyond it, truncate any torn tail, restore snapshot epochs and UDF
 definition versions, and advance the database *generation* — then wires
 the logging hooks so every subsequent catalog mutation (register /
-drop / touch) and UDF version bump appends a checksummed, fsync'd WAL
-frame before the caller sees the operation return.
+delta write / drop / touch) and UDF version bump appends a checksummed,
+fsync'd WAL frame before the caller sees the operation return.
 
 The generation is the cache-safety backstop: epochs restored from the
 log are exact for every *acknowledged* write, but an epoch bump that was
@@ -48,6 +48,7 @@ from ...errors import (
 )
 from ...obs import METRICS, OBS
 from ...obs import tracer as obs_tracer
+from ..catalog import Delta
 from ..table import Table
 from . import records
 from .checkpoint import (
@@ -305,6 +306,12 @@ class DurabilityManager:
             catalog.restore_table(
                 records.decode_table(payload), epoch=int(payload["epoch"])
             )
+        elif op in records.DELTA_OPS:
+            name = payload["name"]
+            catalog.write(
+                name, records.decode_delta(payload, catalog.get(name)),
+                epoch=int(payload["epoch"]),
+            )
         elif op == "drop":
             catalog.restore_drop(payload["name"], epoch=int(payload["epoch"]))
         elif op == "touch":
@@ -327,6 +334,9 @@ class DurabilityManager:
 
     def log_table(self, table: Table, epoch: int) -> None:
         self._append(records.table_record(table, epoch))
+
+    def log_delta(self, name: str, delta: Delta, epoch: int) -> None:
+        self._append(records.delta_record(name, delta, epoch))
 
     def log_drop(self, name: str, epoch: int) -> None:
         self._append(records.drop_record(name, epoch))

@@ -8,9 +8,14 @@ logged:
 
 ``table``
     A full physical image of one table (name, schema, column values)
-    plus the snapshot epoch the operation produced.  The minidb family
-    applies every DML by re-registering the whole table, so the physical
-    full-image log is exact, not an approximation.
+    plus the snapshot epoch the operation produced — what a load,
+    ``CREATE TABLE AS`` or any other :meth:`Catalog.register` logs.
+``insert`` / ``update`` / ``delete``
+    A row delta (:class:`~repro.storage.catalog.Delta`) from a minidb
+    DML statement plus the epoch it produced: ``cols`` holds
+    ``[position, values]`` pairs, ``pos`` the updated or deleted rows of
+    the table as the previous record left it.  Not idempotent: replay
+    applies each once, in LSN order, past the checkpoint's LSN.
 ``drop``
     A table removal plus its post-drop epoch.
 ``touch``
@@ -33,11 +38,15 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from ...types import SqlType
+from ..catalog import Delta
 from ..column import Column
 from ..table import Table
 
 __all__ = [
+    "DELTA_OPS",
     "table_record",
+    "delta_record",
+    "decode_delta",
     "drop_record",
     "touch_record",
     "udf_record",
@@ -56,23 +65,47 @@ def encode_table(table: Table) -> Dict[str, Any]:
     }
 
 
+def _decode_column(name: str, sql_type: SqlType, values: List[Any]) -> Column:
+    if sql_type is SqlType.INT:
+        # JSON round-trips ints exactly but has no int/float tag for
+        # whole-valued floats written by other tools; coerce.
+        values = [None if v is None else int(v) for v in values]
+    return Column(name, sql_type, values, validate=False)
+
+
 def decode_table(payload: Dict[str, Any]) -> Table:
     """Rebuild a :class:`Table` from :func:`encode_table` output."""
     schema = [(name, SqlType(type_name)) for name, type_name in payload["schema"]]
-    columns: List[Column] = []
-    for (name, sql_type), values in zip(schema, payload["cols"]):
-        if sql_type is SqlType.INT:
-            # JSON round-trips ints exactly but has no int/float tag for
-            # whole-valued floats written by other tools; coerce.
-            values = [None if v is None else int(v) for v in values]
-        columns.append(Column(name, sql_type, values, validate=False))
-    return Table(payload["name"], columns)
+    return Table(payload["name"], [
+        _decode_column(name, sql_type, values)
+        for (name, sql_type), values in zip(schema, payload["cols"])
+    ])
 
 
 def table_record(table: Table, epoch: int) -> Dict[str, Any]:
     record = {"op": "table", "epoch": epoch}
     record.update(encode_table(table))
     return record
+
+
+DELTA_OPS = ("insert", "update", "delete")
+
+
+def delta_record(name: str, delta: Delta, epoch: int) -> Dict[str, Any]:
+    return {
+        "op": delta.op, "name": name, "epoch": epoch,
+        "pos": delta.positions.tolist(),
+        "cols": [[i, col.to_list()] for i, col in delta.columns.items()],
+    }
+
+
+def decode_delta(payload: Dict[str, Any], table: Table) -> Delta:
+    """Rebuild a :class:`Delta` against ``table``, whose schema types
+    the logged values."""
+    return Delta(payload["op"], payload["pos"], {
+        i: _decode_column(table.columns[i].name, table.columns[i].sql_type, values)
+        for i, values in payload["cols"]
+    })
 
 
 def drop_record(name: str, epoch: int) -> Dict[str, Any]:

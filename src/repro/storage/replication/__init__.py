@@ -3,8 +3,8 @@
 A primary streams its sealed WAL frames (and checkpoint images, for
 standby bootstrap and post-reset catch-up) to one or more standbys over
 a length-prefixed socket protocol; every frame is CRC re-verified on
-arrival and applied through the same idempotent restore hooks recovery
-uses.  Promotion is fenced by a persisted, promotion-only **term**: a
+arrival and applied through the same restore hooks and delta-apply
+path (``Catalog.write``) recovery uses.  Promotion is fenced by a persisted, promotion-only **term**: a
 promoted standby fsyncs its bumped term before serving, and the
 handshake rejects any node presenting a stale one — a revived old
 primary is structurally incapable of acknowledging a post-failover

@@ -5,7 +5,7 @@ mode: a listener accepts primary connections, the handshake enforces
 the fencing invariant (see :mod:`.fence`), and every FRAME/CHECKPOINT
 message is applied through the replica
 :class:`~repro.storage.durability.manager.DurabilityManager` — the same
-idempotent restore hooks recovery uses, so standby state is by
+restore hooks and delta-apply path recovery uses, so standby state is by
 construction a state recovery could have produced.  After each apply
 the standby ACKs its flushed LSN; sync-mode primaries release commits
 against that watermark.

@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import SimulatedCrash
-from ..storage.catalog import Catalog
+from ..storage.catalog import Catalog, Delta
 from ..storage.column import Column
 from ..storage.durability import DurabilityManager
 from ..storage.durability import records as dur_records
@@ -85,7 +85,8 @@ def _make_table(name: str, seed: int) -> Table:
 
 
 def build_workload(seed: int, n_ops: int = 24) -> List[Tuple]:
-    """A seeded list of catalog ops: register / replace / drop / touch.
+    """A seeded list of catalog ops: register / replace / drop / touch,
+    and insert / update / delete row deltas on live tables.
 
     Fully deterministic in ``seed`` so the crashed writer, the uncrashed
     twin, and the subprocess writer all derive the identical op list.
@@ -103,14 +104,30 @@ def build_workload(seed: int, n_ops: int = 24) -> List[Tuple]:
         if name not in live:
             ops.append(("register", name, seed * 100 + i))
             live.add(name)
-        elif roll < 0.15:
+        elif roll < 0.1:
             ops.append(("drop", name))
             live.discard(name)
-        elif roll < 0.35:
+        elif roll < 0.25:
             ops.append(("touch", name))
-        else:
+        elif roll < 0.45:
             ops.append(("register", name, seed * 100 + i))
+        else:
+            ops.append((rng.choice(dur_records.DELTA_OPS), name, seed * 100 + i))
     return ops
+
+
+def _make_delta(table: Table, kind: str, seed: int) -> Delta:
+    """A deterministic row delta against ``table``'s current rows."""
+    if kind == "insert":
+        rows = _make_table(table.name, seed)
+        return Delta("insert", columns=dict(enumerate(rows.columns)))
+    positions = [p for p in range(table.num_rows) if (p + seed) % 3 == 0]
+    if kind == "delete":
+        return Delta("delete", positions)
+    patch = _make_table(table.name, seed).take(
+        [p % (seed % 5 + 1) for p in positions]
+    )
+    return Delta("update", positions, {0: patch.columns[0], 1: patch.columns[1]})
 
 
 def apply_op(catalog: Catalog, op: Tuple) -> None:
@@ -121,6 +138,8 @@ def apply_op(catalog: Catalog, op: Tuple) -> None:
         catalog.drop(op[1])
     elif kind == "touch":
         catalog.touch(op[1])
+    elif kind in dur_records.DELTA_OPS:
+        catalog.write(op[1], _make_delta(catalog.get(op[1]), kind, op[2]))
     else:  # pragma: no cover - workload generator bug
         raise ValueError(f"unknown op {op!r}")
 

@@ -89,3 +89,22 @@ class TestGenerationInResultKey:
         # Recomputed under the new generation — no resurrected hit.
         assert qf2.caches.results.hits == hits_before
         adapter2.close()
+
+
+class TestOneAppendPerWrite:
+    def test_cached_minidb_dml_logs_one_record_and_retires_results(
+        self, tmp_path
+    ):
+        """The DML's own delta record moves the epoch, so the cache's
+        write hook adds no touch record of its own."""
+        adapter = MiniDbAdapter(durability_dir=tmp_path / "db")
+        adapter.register_table(make_table([1, 2]))
+        adapter.register_udf(gen_double)
+        qf = QFusor(adapter, result_config())
+        assert qf.execute(SQL).columns[0].to_list() == [2, 4]
+        wal = adapter.durability.wal
+        lsn = wal.last_lsn
+        qf.execute("INSERT INTO t VALUES (3)")
+        assert wal.last_lsn == lsn + 1
+        assert qf.execute(SQL).columns[0].to_list() == [2, 4, 6]
+        adapter.close()

@@ -9,9 +9,10 @@ import threading
 import pytest
 
 from repro.engines import MiniDbAdapter
-from repro.errors import RecoveryError
-from repro.storage import Catalog, Column, Table
+from repro.errors import RecoveryError, SimulatedCrash
+from repro.storage import Catalog, Column, Delta, Table
 from repro.storage.durability import DurabilityManager, read_checkpoint
+from repro.testing.faults import FaultInjector, inject
 from repro.types import SqlType
 from repro.udf import scalar_udf
 
@@ -115,6 +116,32 @@ class TestCheckpointing:
         recovered, manager2, report = reopen(tmp_path)
         assert report.checkpoint_loaded and report.records_replayed >= 1
         assert "t" in recovered and "u" in recovered
+        manager2.close()
+
+    def test_delta_replay_is_gated_by_lsn_not_idempotence(self, tmp_path):
+        """A delta applied twice would append its rows twice.  A crash
+        after the checkpoint install but before the WAL reset leaves the
+        folded-in delta frames on disk; replay must skip them by LSN."""
+        catalog, manager, _ = reopen(tmp_path)
+        catalog.register(make_table("t", (1, 2)))
+        # The image goes into a checkpoint, so only deltas follow it.
+        assert manager.checkpoint()
+        insert = Delta("insert", columns={
+            0: Column("a", SqlType.INT, [3]),
+            1: Column("b", SqlType.TEXT, ["s3"]),
+        })
+        catalog.write("t", insert)
+        catalog.write("t", Delta("delete", [0]))
+        injector = FaultInjector().durability_crash(
+            "checkpoint_reset", at=0, action="raise"
+        )
+        with inject(injector), pytest.raises(SimulatedCrash):
+            manager.checkpoint()
+        manager.abandon()
+        recovered, manager2, report = reopen(tmp_path)
+        assert report.checkpoint_loaded and report.records_replayed == 0
+        assert recovered.get("t").columns[0].to_list() == [2, 3]
+        assert recovered.epoch("t") == 3
         manager2.close()
 
     def test_interval_checkpointer_runs(self, tmp_path):

@@ -1,8 +1,26 @@
 """Unit tests for DML (including UDFs in DML, paper section 4.2.5)."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.engine import Database
+from repro.engines import MiniDbAdapter
 from repro.errors import CatalogError, ExecutionError
+from repro.storage import Table
+from repro.types import SqlType
+from repro.udf import scalar_udf
+
+SEEN = []
+
+
+@scalar_udf
+def f_raise_on_3(x: int) -> int:
+    SEEN.append(x)
+    if x == 3:
+        raise ValueError("three")
+    return x * 10
 
 
 class TestInsert:
@@ -51,6 +69,75 @@ class TestUpdate:
     def test_update_rowcount(self, db):
         result = db.execute("UPDATE people SET age = 1")
         assert result.to_rows() == [(5,)]
+
+    def test_set_udf_runs_only_on_updated_rows(self):
+        """WHERE selects first; a SET UDF that would raise on an
+        unselected row never sees it (as in sqlite)."""
+        database = Database()
+        database.register_table(
+            Table.from_rows("u", [("id", SqlType.INT)], [(1,), (2,), (3,), (4,)])
+        )
+        database.register_udf(f_raise_on_3)
+        SEEN.clear()
+        result = database.execute("UPDATE u SET id = f_raise_on_3(id) WHERE id = 1")
+        assert result.to_rows() == [(1,)]
+        assert SEEN == [1]
+        rows = database.execute("SELECT id FROM u ORDER BY id").to_rows()
+        assert rows == [(2,), (3,), (4,), (10,)]
+
+    def test_update_coerces_new_values_to_the_column_type(self, db):
+        db.execute("UPDATE people SET score = age WHERE city = 'Athens'")
+        result = db.execute("SELECT id, score FROM people ORDER BY id")
+        assert result.to_rows() == [
+            (1, 34.0), (2, 75.0), (3, None), (4, None), (5, 60.0),
+        ]
+        assert isinstance(result.to_rows()[0][1], float)
+
+
+class TestConcurrentDml:
+    N_THREADS, PER_THREAD = 4, 200
+
+    def test_concurrent_inserts_lose_no_rows_and_survive_a_crash(self, tmp_path):
+        """Writers on one adapter each compute a delta against the table
+        they read; a delta whose base was replaced meanwhile is computed
+        again, so no insert is lost, live or after WAL recovery."""
+        adapter = MiniDbAdapter(durability_dir=tmp_path / "db")
+        adapter.register_table(
+            Table.from_rows("t", [("id", SqlType.INT), ("v", SqlType.TEXT)], [(0, "seed")])
+        )
+        barrier = threading.Barrier(self.N_THREADS)
+
+        def writer(slot):
+            barrier.wait()
+            for i in range(self.PER_THREAD):
+                n = 1 + slot * self.PER_THREAD + i
+                adapter.execute_sql(f"INSERT INTO t VALUES ({n}, 'w{slot}')")
+
+        threads = [
+            threading.Thread(target=writer, args=(slot,))
+            for slot in range(self.N_THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        rows = sorted(adapter.execute_sql("SELECT id, v FROM t").to_rows())
+        assert len(rows) == 1 + self.N_THREADS * self.PER_THREAD
+        assert [r[0] for r in rows] == list(range(len(rows)))
+
+        adapter.durability.abandon()  # crash: no checkpoint, no close
+        recovered = MiniDbAdapter(durability_dir=tmp_path / "db")
+        try:
+            after = sorted(recovered.execute_sql("SELECT id, v FROM t").to_rows())
+            assert after == rows
+        finally:
+            recovered.close()
 
 
 class TestDelete:

@@ -10,7 +10,7 @@ import pytest
 from repro.service import QueryService
 from repro.storage import Column, Table
 from repro.storage.catalog import Catalog
-from repro.storage.durability import DurabilityManager
+from repro.storage.durability import DurabilityManager, WriteAheadLog
 from repro.storage.replication import (
     DEGRADE_MARKER_NAME,
     ReplicationPrimary,
@@ -61,6 +61,25 @@ class TestStreaming:
         finally:
             manager.close()
             standby.close()
+
+    def test_standby_fed_delta_frames_equals_primary(self, tmp_path):
+        """Row-delta records ship as frames and apply on the standby
+        through the same catalog write path as live DML and replay."""
+        catalog, manager, primary, standby = make_pair(tmp_path)
+        try:
+            apply_op(catalog, ("register", "orders", 4))
+            for i, kind in enumerate(("insert", "update", "delete") * 4):
+                apply_op(catalog, (kind, "orders", 10 + i))
+            tail = manager.wal.last_lsn
+            assert wait_for(lambda: standby.flushed_lsn >= tail)
+            assert catalog_state(standby.catalog) == catalog_state(catalog)
+        finally:
+            manager.close()
+            standby.close()
+        with WriteAheadLog(tmp_path / "standby" / "wal.log") as wal:
+            shipped = [record.payload["op"] for record in wal.scan()]
+        assert shipped.count("insert") == shipped.count("update") == 4
+        assert shipped.count("delete") == 4
 
     def test_stream_resumes_exactly_after_disconnect(self, tmp_path):
         catalog, manager, primary, standby = make_pair(tmp_path)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import threading
 
-from repro.storage import Catalog, Column, Table
+from repro.storage import Catalog, Column, Delta, Table
 from repro.types import SqlType
 
 N_THREADS = 8
@@ -85,8 +85,10 @@ class TestEpochMonotonicity:
     def test_epoch_values_are_exactly_sequential_under_lock(self):
         """Collect the epoch *returned at bump time* (via a durability
         stub) — the sequence the WAL would log must be 1..N with no
-        duplicates or gaps, which is the invariant replay depends on."""
+        duplicates or gaps, which is the invariant replay depends on.
+        Touches, re-registrations and row-delta writes share the mix."""
         catalog = Catalog()
+        catalog.register(make_table("t"))
         logged = []
         log_lock = threading.Lock()
 
@@ -98,13 +100,35 @@ class TestEpochMonotonicity:
             def log_table(self, table, epoch):
                 self.log_touch(table.name, epoch)
 
+            def log_delta(self, name, delta, epoch):
+                self.log_touch(name, epoch)
+
             def log_drop(self, name, epoch):
                 self.log_touch(name, epoch)
 
+        def op(slot):
+            kind = (slot + len(logged)) % 4
+            if kind == 0:
+                catalog.touch("t")
+            elif kind == 1:
+                catalog.register(make_table("t", slot), replace=True)
+            elif kind == 2:
+                catalog.write("t", Delta("insert", columns={
+                    0: Column("a", SqlType.INT, [slot])
+                }))
+            else:
+                # The DML pattern: a delta computed against a table that
+                # another thread replaced meanwhile is computed again.
+                while True:
+                    table = catalog.get("t")
+                    delta = Delta("delete", range(min(1, table.num_rows)))
+                    if catalog.write("t", delta, base=table):
+                        break
+
         catalog.durability = Stub()
-        self._hammer(catalog, lambda slot: catalog.touch("t"))
+        self._hammer(catalog, op)
         assert sorted(logged) == list(
-            range(1, N_THREADS * OPS_PER_THREAD + 1)
+            range(2, N_THREADS * OPS_PER_THREAD + 2)
         )
         # And WAL order == epoch order: the log list itself is sorted
         # because append happens under the same lock as the bump.
