@@ -9,13 +9,21 @@ version the result cache checks, and the trace cache's structural key is
 produced by the same function the fusion blocklist consults.
 
 All fingerprints are deterministic across processes (no ``id()``, no
-``hash()`` randomization): they are SHA-1 digests over canonical reprs.
+``hash()`` randomization).  Definitions, SQL and configurations are
+keyed by SHA-1 digests over canonical reprs.  UDF input values (the memo
+key) are keyed by a 128-bit BLAKE2b digest over the typed buffers a
+column already holds, with a tagged-repr fallback for everything else
+(see :func:`value_fingerprint`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from typing import Any, Hashable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from ..storage.column import Column
 
 __all__ = [
     "digest",
@@ -165,18 +173,71 @@ def trace_key(signature_key: Iterable) -> Tuple:
 # ----------------------------------------------------------------------
 
 
+#: Separator of the one-string form of an all-``str`` column.
+_SEP = "\x1f"
+
+
 def value_fingerprint(values: Any) -> str:
-    """Digest of a batch of UDF input values (columns or scalars)."""
-    return hashlib.sha1(_value_repr(values).encode("utf-8")).hexdigest()[:16]
+    """128-bit digest of a batch of UDF input values (columns or scalars).
+
+    A list or tuple is an argument list: its length is hashed, then each
+    argument.  A :class:`~repro.storage.Column` is keyed by the buffers
+    it holds, tagged with its SQL type and length:
+
+    * INT/FLOAT/BOOL: the numpy bytes (NULL slots zeroed, since they hold
+      garbage) plus the packed null mask;
+    * TEXT/JSON whose values are all ``str``: one UTF-8 ``"\\x1f"``-join,
+      used only when it holds exactly ``len - 1`` separators, so no value
+      contained one.
+
+    Every other value (a per-row scalar argument, an object column holding
+    NULLs or non-``str`` values) falls back to tagged reprs.  The reprs
+    keep dict insertion order on purpose: a deterministic UDF may answer
+    differently for ``{a, b}`` and ``{b, a}``."""
+    h = hashlib.blake2b(digest_size=16)
+    if isinstance(values, (list, tuple)):
+        h.update(b"A%d|" % len(values))
+        for value in values:
+            _hash_value(h, value)
+    else:
+        _hash_value(h, values)
+    return h.hexdigest()
 
 
-def _value_repr(value: Any) -> str:
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_value_repr(v) for v in value) + "]"
-    to_list = getattr(value, "to_list", None)
-    if to_list is not None:  # a storage Column
-        return _value_repr(to_list())
-    return repr(value)
+def _hash_value(h: Any, value: Any) -> None:
+    if not isinstance(value, Column):
+        _hash_part(h, b"R", repr(value).encode("utf-8", "surrogatepass"))
+        return
+    data = value.numpy()
+    tag = b"C%s:%d:" % (value.sql_type.name.encode(), len(data))
+    if data.dtype != object:
+        null = value.null_mask()
+        if null.any():
+            data = data.copy()
+            data[null] = 0
+        h.update(tag)
+        h.update(np.ascontiguousarray(data))
+        h.update(np.packbits(null))
+        return
+    items = data.tolist()
+    try:
+        joined = _SEP.join(items)
+    except TypeError:  # a NULL or a non-str value
+        joined = None
+    if joined is not None and joined.count(_SEP) == len(items) - 1:
+        _hash_part(h, tag + b"S", joined.encode("utf-8", "surrogatepass"))
+        return
+    # Tagged reprs, framed by their lengths.
+    reprs = list(map(repr, items))
+    h.update(tag + b"R")
+    h.update(np.fromiter(map(len, reprs), dtype=np.int64, count=len(reprs)))
+    h.update("".join(reprs).encode("utf-8", "surrogatepass"))
+
+
+def _hash_part(h: Any, tag: bytes, payload: bytes) -> None:
+    """One variable-length part, framed by its tag and byte length."""
+    h.update(b"%s%d|" % (tag, len(payload)))
+    h.update(payload)
 
 
 # ----------------------------------------------------------------------

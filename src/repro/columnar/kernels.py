@@ -145,10 +145,10 @@ def aggregate_batch(
         loaded = [boundary.column_to_python_batch(col) for col in inputs]
         aggrs = [definition.func() for _ in range(num_groups)]
         step = [a.step for a in aggrs]
-        arity = len(loaded)
-        if arity == 1:
+        skips_null = definition.skips_null_rows()
+        if len(loaded) == 1:
             (l0,) = loaded
-            has_null = definition.strict and None in l0
+            has_null = skips_null and None in l0
             for start in range(0, size, chunk):
                 stop = min(start + chunk, size)
                 if has_null:
@@ -164,7 +164,7 @@ def aggregate_batch(
             for start in range(0, size, chunk):
                 for i in range(start, min(start + chunk, size)):
                     row = [col[i] for col in loaded]
-                    if arity and definition.strict and all(v is None for v in row):
+                    if skips_null and all(v is None for v in row):
                         continue
                     step[group_ids[i]](*row)
                 checkpoint()

@@ -206,8 +206,8 @@ class TupleExecutor:
             for call in node.agg_calls
         ]
         call_out_types = []
-        # A non-strict (fused) aggregate UDF steps over NULL inputs too:
-        # its generated step computes the argument and skips NULLs itself.
+        # Which calls skip a row whose arguments are all NULL: every
+        # builtin, and the UDFs whose definition says so.
         skips_null = []
         for call in node.agg_calls:
             if call.is_udf:
@@ -215,7 +215,7 @@ class TupleExecutor:
                 call_out_types.append(
                     registered.definition.signature.return_types[0]
                 )
-                skips_null.append(registered.definition.strict)
+                skips_null.append(registered.definition.skips_null_rows())
             else:
                 call_out_types.append(None)  # builtins stay engine-side
                 skips_null.append(True)
@@ -243,7 +243,7 @@ class TupleExecutor:
             states = groups[key]
             for idx, call in enumerate(node.agg_calls):
                 args = tuple(evaluator.evaluate(a, row) for a in call.args)
-                if skips_null[idx] and call.args and any(a is None for a in args):
+                if skips_null[idx] and call.args and all(a is None for a in args):
                     continue
                 if call.distinct:
                     if args in distinct_seen[key][idx]:

@@ -194,7 +194,7 @@ class SqliteAdapter(EngineAdapter):
         arg_types = definition.signature.arg_types
         out_type = definition.signature.return_types[0]
         agg_class = definition.func
-        strict = definition.strict
+        skips_null = definition.skips_null_rows()
         name = definition.name
         names = (name,) + tuple(definition.fused_from)
         ctx = "fused" if definition.is_fused else "interp"
@@ -225,9 +225,7 @@ class SqliteAdapter(EngineAdapter):
                         converted = [
                             _from_sqlite(v, t) for v, t in zip(args, arg_types)
                         ]
-                        if strict and converted and all(
-                            v is None for v in converted
-                        ):
+                        if skips_null and all(v is None for v in converted):
                             return
                         self._state.step(*converted)
                 except QueryInterrupt as exc:

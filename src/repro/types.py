@@ -111,7 +111,7 @@ def coerce(value: Any, sql_type: SqlType) -> Any:
         if isinstance(value, int):
             return value
         if isinstance(value, float):
-            if math.isnan(value) or value != int(value):
+            if not math.isfinite(value) or value != int(value):
                 raise TypeMismatchError(f"cannot coerce {value!r} to INT")
             return int(value)
     elif sql_type is SqlType.FLOAT:

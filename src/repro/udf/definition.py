@@ -102,5 +102,16 @@ class UdfDefinition:
     def arity(self) -> int:
         return self.signature.arity
 
+    def skips_null_rows(self) -> bool:
+        """The aggregate NULL-skip rule, shared by every executor.
+
+        A strict aggregate does not step on a row whose arguments are
+        *all* NULL (SQL semantics: ``SUM(CASE WHEN ... THEN 1 ELSE NULL
+        END)`` counts matching rows).  A non-strict (fused) aggregate
+        steps on every row: its generated step computes the argument,
+        which may map NULL inputs to a value, and skips a NULL argument
+        itself."""
+        return self.strict and self.arity > 0
+
     def __repr__(self) -> str:
         return f"UdfDefinition({self.name!r}, {self.kind}, {self.signature})"

@@ -252,7 +252,7 @@ def _build_aggregate_wrapper(udf: UdfDefinition) -> GeneratedWrapper:
         # the query level through de-optimization.
         with builder.block("for i in range(size):"):
             builder.line("if not (i & 255): _gov_check()")
-            if arity and udf.strict:
+            if udf.skips_null_rows():
                 null_check = " and ".join(
                     f"col{i}[i] is None" for i in range(arity)
                 )

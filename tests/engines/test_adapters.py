@@ -6,8 +6,11 @@ from repro.core import QFusor
 from repro.engine import Database
 from repro.engines import (
     DuckDbLikeAdapter, MiniDbAdapter, ParallelDbAdapter, RowStoreAdapter,
-    TupleDbAdapter,
+    SqliteAdapter, TupleDbAdapter,
 )
+from repro.storage import Table
+from repro.types import SqlType
+from repro.udf import aggregate_udf
 from repro.udf.registry import ProcessChannel
 from tests.conftest import TEST_UDFS, make_json_table, make_people_table
 
@@ -47,6 +50,34 @@ class TestAdapterParity:
         reference = load(MiniDbAdapter()).execute_sql(sql).to_rows()
         qfusor = QFusor(load(factory()))
         assert qfusor.execute(sql).to_rows() == reference
+
+
+@aggregate_udf(name="pair_sum")
+class PairSum:
+    def __init__(self):
+        self.total = 0
+
+    def step(self, a: int, b: int):
+        self.total += (a or 0) * 10 + (b or 0)
+
+    def final(self) -> int:
+        return self.total
+
+
+class TestAggregateNullRule:
+    @pytest.mark.parametrize("factory", ADAPTER_FACTORIES + [SqliteAdapter])
+    def test_strict_aggregate_skips_only_all_null_rows(self, factory):
+        """A row with some NULL arguments is stepped; only a row whose
+        arguments are all NULL is skipped, on every executor."""
+        adapter = factory()
+        adapter.register_table(Table.from_rows(
+            "pairs",
+            [("g", SqlType.INT), ("a", SqlType.INT), ("b", SqlType.INT)],
+            [(1, 1, None), (1, None, None), (1, 2, 3), (2, None, 5)],
+        ))
+        adapter.register_udf(PairSum)
+        sql = "SELECT g, pair_sum(a, b) FROM pairs GROUP BY g ORDER BY g"
+        assert adapter.execute_sql(sql).to_rows() == [(1, 33), (2, 5)]
 
 
 #: (adapter.name, database.name, execution_model,
