@@ -4,7 +4,6 @@ Not a paper figure — a per-choice breakdown of where QFusor's speedup
 comes from on the two headline queries (Q3, the running example; Q11,
 the Zillow pipeline):
 
-  * **inlining** — simple UDF bodies textually inlined vs called;
   * **trace cache** — compiled pipelines reused across repeat queries;
   * **reordering (F3)** — permutation search on fusible sections;
   * **cost-based decisions** — the F2 inequality vs heuristics only.
@@ -20,7 +19,6 @@ from repro.engines import MiniDbAdapter
 from repro.workloads import udfbench, zillow
 
 ABLATIONS = {
-    "inline": {"inline": False},
     "trace-cache": {"trace_cache": False},
     "reorder-F3": {"reorder": False},
     "cost-based": {"cost_based": False},

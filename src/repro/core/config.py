@@ -38,8 +38,6 @@ class QFusorConfig:
     offload_aggregations: bool = True
     #: Allow operator reordering to unlock fusion (F3).
     reorder: bool = True
-    #: Inline simple scalar UDF bodies into the fused loop.
-    inline: bool = True
     #: Use the compiled-trace cache across queries (Fig. 6d "cache").
     trace_cache: bool = True
     #: Cost-based decisions: use learned statistics when available, and
@@ -124,7 +122,7 @@ class QFusorConfig:
         """Baseline: no JIT, no fusion — native UDF execution."""
         return cls(enabled=False, jit=False, fuse_udfs=False,
                    offload_relational=False, offload_aggregations=False,
-                   reorder=False, inline=False, trace_cache=False)
+                   reorder=False, trace_cache=False)
 
     @classmethod
     def jit_only(cls) -> "QFusorConfig":

@@ -280,7 +280,6 @@ def generate_fused_udf(spec: PipelineSpec) -> FusedUdf:
     code = compile(source, f"<fused:{spec.name}>", "exec")
     exec(code, namespace)
     func = namespace[entry_name]
-    lineage_func = namespace.get(f"{entry_name}__lineage")
     expand_batch_func = namespace.get(f"{entry_name}__expand_batch")
     scalar_batch_func = namespace.get(f"{entry_name}__scalar_batch")
     if scalar_batch_func is not None:
@@ -303,7 +302,6 @@ def generate_fused_udf(spec: PipelineSpec) -> FusedUdf:
         # may map NULL to its ELSE value).
         strict=False,
         fused_from=tuple(_fused_from(spec)),
-        lineage_func=lineage_func,
         expand_batch_func=expand_batch_func,
         scalar_batch_func=scalar_batch_func,
     )
@@ -595,27 +593,11 @@ class _Generator:
             )
             if any(isinstance(s, DistinctStage) for s in spec.stages):
                 builder.line("_seen = set()")
-            self._emit_table_loop(
-                builder,
-                f"for ({input_tuple}{trailing}) in inp_datagen:",
-                list(spec.stages),
-            )
-        builder.line()
-        # The lineage variant: one generator over the whole input stream
-        # that tags each output with its input row index — the fast path
-        # for expand-mode execution of fused pipelines.
-        with builder.block(f"def {entry}__lineage(inp_datagen):"):
-            builder.line(
-                '"""Batch expand variant: yields (input_index, outputs...)."""'
-            )
-            if any(isinstance(s, DistinctStage) for s in spec.stages):
-                builder.line("_seen = set()")
-            self._emit_table_loop(
-                builder,
-                f"for _idx, ({input_tuple}{trailing}) in enumerate(inp_datagen):",
-                list(spec.stages),
-                yield_prefix="_idx, ",
-            )
+            with builder.block(f"for ({input_tuple}{trailing}) in inp_datagen:"):
+                self._emit_stream_stages(
+                    builder, list(spec.stages), early_exit="continue",
+                    seen="_seen", yield_outputs=True,
+                )
         builder.line()
         self._emit_expand_batch(builder, entry)
         return builder.source(), entry
@@ -746,17 +728,6 @@ class _Generator:
                 builder.line("return _rows")
         self.inlined, self.called = counters
 
-    def _emit_table_loop(
-        self, builder: SourceBuilder, loop_header: str, stages: List[Stage],
-        yield_prefix: str = "",
-    ) -> None:
-        spec = self.spec
-        with builder.block(loop_header):
-            self._emit_stream_stages(
-                builder, stages, early_exit="continue", seen="_seen",
-                yield_outputs=True, yield_prefix=yield_prefix,
-            )
-
     def _emit_stream_stages(
         self,
         builder: SourceBuilder,
@@ -765,7 +736,6 @@ class _Generator:
         early_exit: str,
         seen: str,
         yield_outputs: bool = False,
-        yield_prefix: str = "",
         tail=None,
         force_call: bool = False,
     ) -> None:
@@ -816,7 +786,7 @@ class _Generator:
         if yield_outputs:
             out = ", ".join(spec.outputs)
             trailing = "," if len(spec.outputs) == 1 else ""
-            builder.line(f"yield ({yield_prefix}{out}{trailing})")
+            builder.line(f"yield ({out}{trailing})")
         if tail is not None:
             tail(builder)
         for _ in range(depth_opened):

@@ -16,7 +16,8 @@ or attach explicitly::
     print(report.records_replayed, report.generation)
 
 Invariants the crash harness (:mod:`repro.testing.crash`) enforces at
-randomized kill points:
+kill points drawn from :data:`repro.testing.faults.FAULT_POINTS` (its
+``audit_round`` audits failover rounds too):
 
 * **No acked loss** — an operation whose call returned before the crash
   is present after recovery.
@@ -26,6 +27,9 @@ randomized kill points:
 * **Cache safety** — snapshot epochs and UDF definition versions are
   restored, and the database generation strictly advances, so no
   result-cache entry keyed before the crash can be served after it.
+* **Durability after recovery** — a write acknowledged by the recovered
+  incarnation survives the next restart, and the generation advances
+  again.
 """
 
 from .checkpoint import CHECKPOINT_NAME, read_checkpoint, write_checkpoint

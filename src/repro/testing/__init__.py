@@ -1,16 +1,12 @@
 """Deterministic testing utilities (fault injection, crash harness)."""
 
 from .crash import (
-    CrashVerdict,
+    RoundVerdict,
     build_workload,
     run_inprocess_crash,
     run_subprocess_crash,
 )
-from .failover import (
-    FailoverVerdict,
-    run_inprocess_failover,
-    run_subprocess_failover,
-)
+from .failover import run_inprocess_failover, run_subprocess_failover
 from .faults import (
     DURABILITY_STAGES,
     REPLICATION_STAGES,
@@ -29,11 +25,10 @@ __all__ = [
     "REPLICATION_STAGES",
     "inject",
     "poison_traces",
-    "CrashVerdict",
+    "RoundVerdict",
     "build_workload",
     "run_inprocess_crash",
     "run_subprocess_crash",
-    "FailoverVerdict",
     "run_inprocess_failover",
     "run_subprocess_failover",
 ]

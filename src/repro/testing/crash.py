@@ -1,13 +1,14 @@
 """Crash-consistency harness: randomized kill injection + recovery audit.
 
 The harness drives one deterministic, seeded catalog workload against a
-WAL'd database directory, kills the writer at a randomized durability
-fault point — a torn ``wal_append`` (cut at an arbitrary byte), a lost
-``wal_fsync``, a torn ``checkpoint_write``, a crash straddling
-``checkpoint_replace``, ``checkpoint_reset``, or the truncate-to-header
-window of ``wal_reset`` — recovers the directory, and audits the
-recovered state against an **uncrashed twin** that applied the same ops
-in plain memory:
+WAL'd database directory, kills the writer at a fault point drawn from
+:data:`~repro.testing.faults.FAULT_POINTS` — a torn ``wal_append`` (cut
+at an arbitrary byte), a lost ``wal_fsync``, a torn ``checkpoint_write``,
+a crash straddling ``checkpoint_replace``, ``checkpoint_reset``, or the
+truncate-to-header window of ``wal_reset`` — recovers the directory,
+and audits the recovered state against an **uncrashed twin** that
+applied the same ops in plain memory (:func:`audit_round`, which the
+failover harness shares):
 
 * **No acked loss / no unacked resurrection** — the recovered catalog
   (tables *and* snapshot epochs) must equal the twin at ``ops[:k]`` for
@@ -35,11 +36,12 @@ way a client would observe commits.
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import os
 import random
-import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import SimulatedCrash
 from ..storage.catalog import Catalog, Delta
@@ -54,10 +56,14 @@ __all__ = [
     "build_workload",
     "apply_op",
     "catalog_state",
-    "random_crash_spec",
+    "ROUNDS",
+    "draw_round",
+    "RoundVerdict",
+    "apply_until_crash",
+    "audit_round",
+    "run_ack_writer",
     "run_inprocess_crash",
     "run_subprocess_crash",
-    "CrashVerdict",
 ]
 
 _TABLE_NAMES = ("orders", "users", "events", "ext_rows")
@@ -155,117 +161,113 @@ def catalog_state(catalog: Catalog) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Crash spec selection
+# Rounds (shared with the failover harness)
 # ----------------------------------------------------------------------
 
-
-def random_crash_spec(
-    rng: random.Random, n_ops: int
-) -> Tuple[str, int, Optional[int]]:
-    """Pick a (stage, occurrence, cut) fault point for one run.
-
-    WAL stages land anywhere in the workload; checkpoint stages target
-    early occurrences (a small threshold makes them frequent).  ``cut``
-    tears the write at a random byte; ``None`` lets the full write land
-    before the crash — the durable-but-unacked window.
-    """
-    stage = rng.choice(faults.DURABILITY_STAGES)
-    if stage in ("wal_append", "wal_fsync"):
-        at = rng.randrange(max(1, n_ops))
-    else:
-        # Checkpoint-path stages (including wal_reset) only occur once
-        # per threshold crossing: target the first few occurrences.
-        at = rng.randrange(3)
-    cut: Optional[int] = None
-    if (
-        stage in ("wal_append", "checkpoint_write", "wal_reset")
-        and rng.random() < 0.7
-    ):
-        cut = rng.randrange(0, 200)
-    return stage, at, cut
+#: Round kind -> (RNG salt, stages its fault is drawn from, coin flips
+#: drawn after the fault).  The kind also names the round's directory.
+#: Failover rounds flip for sync-ack mode and, in-process, for letting
+#: the stream drain before promotion.
+ROUNDS = {
+    "crash": (0x5EED, faults.DURABILITY_STAGES, 0),
+    "kill": (0x1A11, faults.DURABILITY_STAGES, 0),
+    "failover": (0xFA11, faults.ALL_STAGES, 2),
+    "failover_kill": (0xF0F0, faults.PRIMARY_STAGES, 1),
+}
 
 
-# ----------------------------------------------------------------------
-# Verification (shared by both writer modes)
-# ----------------------------------------------------------------------
-
-
-class CrashVerdict:
-    """Outcome of one crash/recover/verify round."""
-
-    __slots__ = (
-        "fired", "stage", "acked", "matched_k", "generation",
-        "report", "crashed",
+def draw_round(kind: str, seed: int, n_ops: int = 24) -> Tuple:
+    """A round's seeded draws: ``(stage, at, cut, *coins)``."""
+    salt, stages, coins = ROUNDS[kind]
+    rng = random.Random(seed ^ salt)
+    return faults.draw_fault(rng, n_ops, stages) + tuple(
+        rng.random() < 0.5 for _ in range(coins)
     )
 
-    def __init__(self, **kw: Any):
-        for slot in self.__slots__:
-            setattr(self, slot, kw.get(slot))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<verdict fired={self.fired} stage={self.stage} "
-            f"acked={self.acked} k={self.matched_k} gen={self.generation}>"
-        )
+@dataclasses.dataclass
+class RoundVerdict:
+    """Outcome of one crash or failover round (failover fills the rest)."""
+
+    fired: bool
+    stage: Optional[str]
+    acked: int
+    matched_k: int
+    generation: int
+    report: Any = None
+    flushed: Optional[int] = None
+    sync: Optional[bool] = None
+    degraded: Optional[bool] = None
+    term: Optional[int] = None
+    fence_checked: bool = False
 
 
-def _verify_recovery(
+def apply_until_crash(catalog: Catalog, ops: List[Tuple]) -> Tuple[int, bool]:
+    """Apply ``ops`` until one raises SimulatedCrash: ``(acked, crashed)``."""
+    for acked, op in enumerate(ops):
+        try:
+            apply_op(catalog, op)
+        except SimulatedCrash:
+            return acked, True
+    return len(ops), False
+
+
+def audit_round(
     directory: Path,
     ops: List[Tuple],
-    acked: int,
+    lo: int,
+    hi: int,
     *,
-    writer_generation: int,
-    crashed: bool,
-    stage: Optional[str],
+    min_generation: int,
     checkpoint_threshold: int,
-) -> CrashVerdict:
-    """Recover ``directory`` and audit it against the uncrashed twin."""
+    context: str,
+    while_open: Optional[Callable[[DurabilityManager], None]] = None,
+) -> Tuple[int, Any]:
+    """Recover ``directory`` and audit it against the uncrashed twin.
+
+    The recovered catalog must equal the twin after ``ops[:k]`` for some
+    ``lo <= k <= hi``, and recovery must reach ``min_generation``.  Then
+    a probe write acknowledged by the recovered node (``while_open``
+    runs after it, on the still-open manager) must survive the next
+    restart, and the generation must advance again.  Returns the
+    smallest matching ``k`` and the recovery report.
+    """
     recovered = Catalog()
     manager = DurabilityManager(
         directory, checkpoint_threshold=checkpoint_threshold
     )
     report = manager.attach(recovered)
     got = catalog_state(recovered)
-    # Probe op: acknowledged by the recovered incarnation, so it must
-    # survive the *next* restart too (verified below).  Guards WAL LSN
-    # monotonicity across recovery — a torn ``wal_reset`` used to
-    # restart LSNs below the checkpoint, making the following recovery
-    # silently skip everything this incarnation acknowledged.
-    recovered.touch("probe_t")
-    probe_epoch = recovered.epoch("probe_t")
-    manager.close()
-
-    # Differential parity: recovered state must be *some* prefix of the
-    # twin's history, no shorter than the acked prefix and at most one
-    # op beyond it (durable-but-unacked).
     twin = Catalog()
-    for op in ops[:acked]:
-        apply_op(twin, op)
-    candidates = [acked]
-    if crashed and acked < len(ops):
-        candidates.append(acked + 1)
     matched_k = None
-    for k in candidates:
-        if k > acked:
+    for k in range(hi + 1):
+        if k:
             apply_op(twin, ops[k - 1])
-        if catalog_state(twin) == got:
+        if k >= lo and catalog_state(twin) == got:
             matched_k = k
             break
     if matched_k is None:
         raise AssertionError(
-            f"recovered state matches no legal prefix "
-            f"(acked={acked}, stage={stage}, dir={directory}): "
-            f"got epochs {got['epochs']!r}"
+            f"recovered state matches no legal prefix {lo}..{hi} of the "
+            f"twin ({context}, dir={directory}): got epochs "
+            f"{got['epochs']!r}"
         )
-    if report.generation <= writer_generation:
+    if report.generation < min_generation:
         raise AssertionError(
-            f"generation did not advance across recovery "
-            f"({writer_generation} -> {report.generation}, stage={stage})"
+            f"generation {report.generation} below {min_generation} "
+            f"after recovery ({context})"
         )
+    # Guards WAL LSN monotonicity across recovery: a torn ``wal_reset``
+    # used to restart LSNs below the checkpoint, making the following
+    # recovery silently skip everything this incarnation acknowledged.
+    recovered.touch("probe_t")
+    expected = dict(got, epochs={
+        **got["epochs"], "probe_t": recovered.epoch("probe_t"),
+    })
+    if while_open is not None:
+        while_open(manager)
+    manager.close()
 
-    # Second incarnation: everything the recovered incarnation held —
-    # including the freshly acknowledged probe op — must come back on
-    # the next restart, and the generation must advance again.
     second = Catalog()
     second_manager = DurabilityManager(
         directory, checkpoint_threshold=checkpoint_threshold
@@ -273,37 +275,118 @@ def _verify_recovery(
     second_report = second_manager.attach(second)
     second_manager.close()
     second_state = catalog_state(second)
-    expected_epochs = dict(got["epochs"])
-    expected_epochs["probe_t"] = probe_epoch
-    if (
-        second_state["tables"] != got["tables"]
-        or second_state["epochs"] != expected_epochs
-    ):
+    if second_state != expected:
         raise AssertionError(
-            f"second restart lost acknowledged state "
-            f"(stage={stage}, dir={directory}): expected epochs "
-            f"{expected_epochs!r}, got {second_state['epochs']!r}"
+            f"second restart lost acknowledged state ({context}, "
+            f"dir={directory}): expected epochs {expected['epochs']!r}, "
+            f"got {second_state['epochs']!r}"
         )
     if second_report.generation <= report.generation:
         raise AssertionError(
             f"generation did not advance across second recovery "
             f"({report.generation} -> {second_report.generation}, "
-            f"stage={stage})"
+            f"{context})"
         )
-    return CrashVerdict(
-        fired=crashed,
-        stage=stage,
-        acked=acked,
-        matched_k=matched_k,
-        generation=report.generation,
-        report=report,
-        crashed=crashed,
+    return matched_k, report
+
+
+def _ack_writer(
+    directory: str,
+    ops: List[Tuple],
+    fault: Tuple[str, int, Optional[int]],
+    checkpoint_threshold: int,
+    attach: Optional[Callable[[DurabilityManager], None]],
+) -> None:
+    """Child body: apply ``ops`` with a ``kill`` fault armed, acking each
+    op through an fsync'd file.  Never returns normally when the fault
+    fires — SIGKILL lands inside the WAL, checkpoint or replication
+    syscall path, exactly where a real crash would."""
+    catalog = Catalog()
+    manager = DurabilityManager(
+        directory, checkpoint_threshold=checkpoint_threshold
     )
+    manager.attach(catalog)
+    if attach is not None:
+        attach(manager)
+    stage, at, cut = fault
+    injector = faults.FaultInjector().durability_crash(
+        stage, at=at, cut=cut, action="kill"
+    )
+    with open(Path(directory) / "acks", "a") as ack, faults.inject(injector):
+        for index, op in enumerate(ops):
+            apply_op(catalog, op)
+            # The commit acknowledgement a client would see: written and
+            # fsync'd only after the op (and its WAL fsync; in sync mode,
+            # the standby's flush) returned.
+            ack.write(f"{index + 1}\n")
+            ack.flush()
+            os.fsync(ack.fileno())
+    manager.close()
+
+
+def run_ack_writer(
+    directory: Path,
+    ops: List[Tuple],
+    fault: Tuple[str, int, Optional[int]],
+    *,
+    checkpoint_threshold: int,
+    timeout_s: float,
+    attach: Optional[Callable[[DurabilityManager], None]] = None,
+) -> Tuple[bool, int]:
+    """Fork a writer over ``directory`` (``attach`` runs on its manager
+    first), wait for it, and return ``(killed, acked)``.  ``acked`` is
+    the highest *complete* ack line: a partial tail from a kill
+    mid-write is ignored, like a torn client ack."""
+    directory.mkdir(parents=True, exist_ok=True)
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in methods else methods[0]
+    )
+    proc = ctx.Process(
+        target=_ack_writer,
+        args=(str(directory), ops, fault, checkpoint_threshold, attach),
+    )
+    proc.start()
+    proc.join(timeout_s)
+    if proc.is_alive():  # pragma: no cover - hung writer
+        proc.terminate()
+        proc.join(5.0)
+        raise AssertionError(f"writer subprocess hung ({directory})")
+    acked = 0
+    ack_path = directory / "acks"
+    lines = ack_path.read_bytes().split(b"\n") if ack_path.exists() else []
+    for line in lines[:-1]:
+        try:
+            acked = max(acked, int(line))
+        except ValueError:
+            break
+    return proc.exitcode != 0, acked  # -SIGKILL when the fault fired
 
 
 # ----------------------------------------------------------------------
-# In-process writer (SimulatedCrash)
+# The crash harness
 # ----------------------------------------------------------------------
+
+
+def _crash_verdict(
+    directory: Path,
+    ops: List[Tuple],
+    acked: int,
+    crashed: bool,
+    stage: str,
+    *,
+    writer_generation: int,
+    checkpoint_threshold: int,
+) -> RoundVerdict:
+    stage = stage if crashed else None
+    k, report = audit_round(
+        directory, ops, acked,
+        acked + 1 if crashed and acked < len(ops) else acked,
+        min_generation=writer_generation + 1,
+        checkpoint_threshold=checkpoint_threshold,
+        context=f"acked={acked}, stage={stage}",
+    )
+    return RoundVerdict(crashed, stage, acked, k, report.generation, report)
 
 
 def run_inprocess_crash(
@@ -312,7 +395,7 @@ def run_inprocess_crash(
     *,
     n_ops: int = 24,
     checkpoint_threshold: int = 1024,
-) -> CrashVerdict:
+) -> RoundVerdict:
     """One seeded crash/recover/verify round, in-process.
 
     Builds the workload, arms a random durability fault
@@ -321,9 +404,8 @@ def run_inprocess_crash(
     completes if the chosen point is never reached), then recovers and
     audits.  Raises ``AssertionError`` on any invariant violation.
     """
-    rng = random.Random(seed ^ 0x5EED)
     ops = build_workload(seed, n_ops)
-    stage, at, cut = random_crash_spec(rng, n_ops)
+    stage, at, cut = draw_round("crash", seed, n_ops)
     directory = Path(base_dir) / f"crash_{seed}"
 
     catalog = Catalog()
@@ -332,89 +414,20 @@ def run_inprocess_crash(
     )
     manager.attach(catalog)
     writer_generation = manager.generation
-
     injector = faults.FaultInjector().durability_crash(
         stage, at=at, cut=cut, action="raise"
     )
-    acked = 0
-    crashed = False
     try:
         with faults.inject(injector):
-            for op in ops:
-                apply_op(catalog, op)
-                acked += 1
-    except SimulatedCrash:
-        crashed = True
+            acked, crashed = apply_until_crash(catalog, ops)
     finally:
         # Like the dead process: no checkpoint, no graceful close.
         manager.abandon()
-
-    return _verify_recovery(
-        directory,
-        ops,
-        acked,
+    return _crash_verdict(
+        directory, ops, acked, crashed, stage,
         writer_generation=writer_generation,
-        crashed=crashed,
-        stage=stage if crashed else None,
         checkpoint_threshold=checkpoint_threshold,
     )
-
-
-# ----------------------------------------------------------------------
-# Subprocess writer (real SIGKILL)
-# ----------------------------------------------------------------------
-
-
-def _subprocess_writer(
-    directory: str,
-    ack_path: str,
-    seed: int,
-    n_ops: int,
-    stage: str,
-    at: int,
-    cut: Optional[int],
-    checkpoint_threshold: int,
-) -> None:
-    """Child body: apply the workload, acking each op through an fsync'd
-    file, with a ``kill`` durability fault armed.  Never returns
-    normally when the fault fires — SIGKILL lands inside the WAL or
-    checkpoint syscall path, exactly where a real crash would."""
-    ops = build_workload(seed, n_ops)
-    catalog = Catalog()
-    manager = DurabilityManager(
-        directory, checkpoint_threshold=checkpoint_threshold
-    )
-    manager.attach(catalog)
-    injector = faults.FaultInjector().durability_crash(
-        stage, at=at, cut=cut, action="kill"
-    )
-    ack = open(ack_path, "a", buffering=1)
-    with faults.inject(injector):
-        for index, op in enumerate(ops):
-            apply_op(catalog, op)
-            # The commit acknowledgement a client would see: written and
-            # fsync'd only after the op (and its WAL fsync) returned.
-            ack.write(f"{index + 1}\n")
-            ack.flush()
-            os.fsync(ack.fileno())
-    ack.close()
-    manager.close()
-
-
-def _read_acked(ack_path: Path) -> int:
-    """Highest op count with a *complete* ack line (partial tail from a
-    kill mid-write is ignored — conservative, like a torn client ack)."""
-    try:
-        data = ack_path.read_bytes()
-    except FileNotFoundError:
-        return 0
-    acked = 0
-    for line in data.split(b"\n")[:-1]:
-        try:
-            acked = max(acked, int(line))
-        except ValueError:
-            break
-    return acked
 
 
 def run_subprocess_crash(
@@ -424,43 +437,17 @@ def run_subprocess_crash(
     n_ops: int = 24,
     checkpoint_threshold: int = 1024,
     timeout_s: float = 30.0,
-) -> CrashVerdict:
+) -> RoundVerdict:
     """One seeded crash round with a real SIGKILL'd writer subprocess."""
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else methods[0]
-    )
-    rng = random.Random(seed ^ 0x1A11)
     ops = build_workload(seed, n_ops)
-    stage, at, cut = random_crash_spec(rng, n_ops)
+    fault = draw_round("kill", seed, n_ops)
     directory = Path(base_dir) / f"kill_{seed}"
-    directory.mkdir(parents=True, exist_ok=True)
-    ack_path = directory / "acks"
-
-    proc = ctx.Process(
-        target=_subprocess_writer,
-        args=(
-            str(directory), str(ack_path), seed, n_ops,
-            stage, at, cut, checkpoint_threshold,
-        ),
+    crashed, acked = run_ack_writer(
+        directory, ops, fault, checkpoint_threshold=checkpoint_threshold,
+        timeout_s=timeout_s,
     )
-    proc.start()
-    proc.join(timeout_s)
-    if proc.is_alive():  # pragma: no cover - hung writer
-        proc.terminate()
-        proc.join(5.0)
-        raise AssertionError(f"writer subprocess hung (seed={seed})")
-    crashed = proc.exitcode != 0  # -SIGKILL when the fault fired
-
-    acked = _read_acked(ack_path)
-    return _verify_recovery(
-        directory,
-        ops,
-        acked,
+    return _crash_verdict(
+        directory, ops, acked, crashed, fault[0],
         writer_generation=1,  # the child's attach produced generation 1
-        crashed=crashed,
-        stage=stage if crashed else None,
         checkpoint_threshold=checkpoint_threshold,
     )

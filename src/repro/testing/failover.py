@@ -3,11 +3,13 @@
 Extends the crash-consistency harness (:mod:`repro.testing.crash`) from
 one node to a replicated pair.  Each round runs the same deterministic
 seeded workload against a primary that streams its WAL to a live
-standby, kills the primary at a randomized fault point — any of the six
-durability stages *or* the replication stages (``repl_send`` torn at an
-arbitrary wire byte, ``repl_handshake``, ``repl_install`` on the
-standby, ``repl_promote`` inside promotion itself) — then promotes the
-standby and audits the promoted state against an uncrashed twin:
+standby, kills the primary at a fault point drawn from
+:data:`~repro.testing.faults.FAULT_POINTS` — any durability stage *or*
+a replication stage (``repl_send`` torn at an arbitrary wire byte,
+``repl_handshake``, ``repl_install`` on the standby, ``repl_promote``
+inside promotion itself) — then promotes the standby and audits the
+promoted directory with the crash harness's :func:`~repro.testing.crash.
+audit_round` plus the replication checks:
 
 * **Prefix consistency (zero corruption / zero resurrection)** — the
   promoted catalog must equal the twin at ``ops[:k]`` for some ``k``
@@ -36,11 +38,10 @@ mid-syscall while the standby keeps serving in the parent.
 
 from __future__ import annotations
 
-import os
-import random
+import functools
 import time
 from pathlib import Path
-from typing import Any, List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from ..errors import NodeFencedError, ReplicationError, SimulatedCrash
 from ..storage.catalog import Catalog
@@ -51,62 +52,17 @@ from ..storage.replication import (
     ReplicationStandby,
 )
 from . import faults
-from .crash import apply_op, build_workload, catalog_state
+from .crash import (
+    RoundVerdict,
+    apply_op,
+    apply_until_crash,
+    audit_round,
+    build_workload,
+    draw_round,
+    run_ack_writer,
+)
 
-__all__ = [
-    "FailoverVerdict",
-    "random_failover_spec",
-    "run_inprocess_failover",
-    "run_subprocess_failover",
-]
-
-#: Stages a *primary-side* writer can die at (the subprocess harness
-#: kills the child, which hosts the primary).
-PRIMARY_STAGES = faults.DURABILITY_STAGES + ("repl_send", "repl_handshake")
-
-#: All stages the in-process harness can exercise (standby-side install
-#: and the promotion window included).
-ALL_STAGES = faults.DURABILITY_STAGES + faults.REPLICATION_STAGES
-
-
-class FailoverVerdict:
-    """Outcome of one kill/promote/verify round."""
-
-    __slots__ = (
-        "fired", "stage", "acked", "matched_k", "flushed", "sync",
-        "degraded", "term", "generation", "fence_checked",
-    )
-
-    def __init__(self, **kw: Any):
-        for slot in self.__slots__:
-            setattr(self, slot, kw.get(slot))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<failover fired={self.fired} stage={self.stage} "
-            f"acked={self.acked} k={self.matched_k} flushed={self.flushed} "
-            f"sync={self.sync} degraded={self.degraded} term={self.term}>"
-        )
-
-
-def random_failover_spec(
-    rng: random.Random, n_ops: int, stages: Tuple[str, ...]
-) -> Tuple[str, int, Optional[int]]:
-    """Pick a (stage, occurrence, cut) fault point for one round."""
-    stage = rng.choice(stages)
-    if stage in ("wal_append", "wal_fsync", "repl_send"):
-        at = rng.randrange(max(1, n_ops))
-    elif stage in ("repl_handshake", "repl_install", "repl_promote"):
-        at = 0
-    else:
-        at = rng.randrange(3)
-    cut: Optional[int] = None
-    if (
-        stage in ("wal_append", "checkpoint_write", "wal_reset", "repl_send")
-        and rng.random() < 0.7
-    ):
-        cut = rng.randrange(0, 200)
-    return stage, at, cut
+__all__ = ["run_inprocess_failover", "run_subprocess_failover"]
 
 
 def _wait_for(predicate, timeout_s: float = 5.0) -> bool:
@@ -118,139 +74,71 @@ def _wait_for(predicate, timeout_s: float = 5.0) -> bool:
     return predicate()
 
 
-# ----------------------------------------------------------------------
-# Shared verification
-# ----------------------------------------------------------------------
+def _replicate(address, sync: bool, manager: DurabilityManager):
+    """Make ``manager`` a primary streaming to the standby at ``address``."""
+    manager.replication = ReplicationPrimary(
+        manager, address, sync=sync, ack_timeout_s=0.25
+    )
+    return manager.replication
 
 
-def _verify_failover(
+def _audit_failover(
     round_dir: Path,
-    primary_dir: Path,
-    promoted_dir: Path,
     ops: List[Tuple],
     acked: int,
     flushed: int,
     *,
-    strict_sync: bool,
+    fired: bool,
+    stage: str,
     sync: bool,
     degraded: bool,
-    stage: Optional[str],
-    fired: bool,
     term: int,
     checkpoint_threshold: int,
-    fence_check: bool = True,
-) -> FailoverVerdict:
+    fence_check: bool,
+) -> RoundVerdict:
     """Open the promoted directory as a primary and audit everything."""
-    recovered = Catalog()
-    manager = DurabilityManager(
-        promoted_dir, checkpoint_threshold=checkpoint_threshold
+    stage = stage if fired else None
+    context = f"acked={acked}, flushed={flushed}, stage={stage}"
+    k, report = audit_round(
+        round_dir / "standby",
+        ops,
+        # Zero resurrection: the standby only ever receives durable
+        # frames, and the primary's durable tail leads its acked tail by
+        # at most one op.
+        0,
+        min(acked + 1, len(ops)),
+        # The generation record the primary logged at LSN 1 reached the
+        # standby iff flushed >= 1; promotion must advance past it.
+        min_generation=2 if flushed >= 1 else 1,
+        checkpoint_threshold=checkpoint_threshold,
+        context=context,
+        while_open=(
+            functools.partial(_verify_fencing, round_dir, term)
+            if fence_check else None
+        ),
     )
-    report = manager.attach(recovered)
-    got = catalog_state(recovered)
-
-    # Differential parity against the uncrashed twin: the promoted
-    # state must be *some* exact prefix of the twin's history...
-    twin = Catalog()
-    states = [catalog_state(twin)]
-    for op in ops:
-        apply_op(twin, op)
-        states.append(catalog_state(twin))
-    matched_k = None
-    for k, state in enumerate(states):
-        if state == got:
-            matched_k = k
-            break
-    if matched_k is None:
-        raise AssertionError(
-            f"promoted state matches no prefix of the twin "
-            f"(acked={acked}, flushed={flushed}, stage={stage}, "
-            f"dir={promoted_dir}): got epochs {got['epochs']!r}"
-        )
-    # ... no longer than one op past the acked prefix (zero
-    # resurrection: the standby only ever receives durable frames, and
-    # the primary's durable tail leads its acked tail by at most one) ...
-    if matched_k > acked + 1:
-        raise AssertionError(
-            f"promoted state resurrects unacknowledged ops: "
-            f"k={matched_k} > acked+1={acked + 1} (stage={stage})"
-        )
-    # ... and exactly as long as the standby's flushed LSN claims (op i
-    # is LSN i+1; the generation record is LSN 1).
-    expected_k = max(0, flushed - 1)
-    if matched_k != expected_k:
+    # Op i is LSN i+1: the prefix must be exactly as long as the
+    # standby's flushed LSN claims.
+    if k != max(0, flushed - 1):
         raise AssertionError(
             f"standby lag accounting drifted from reality: promoted "
-            f"state is prefix {matched_k} but flushed LSN {flushed} "
-            f"promises prefix {expected_k} (stage={stage})"
+            f"state is prefix {k} but flushed LSN {flushed} promises "
+            f"prefix {max(0, flushed - 1)} ({context})"
         )
-    if strict_sync and matched_k < acked:
+    if sync and not degraded and k < acked:
         raise AssertionError(
-            f"sync-ack mode lost an acknowledged write: k={matched_k} < "
-            f"acked={acked} with no degrade event (stage={stage})"
+            f"sync-ack mode lost an acknowledged write: k={k} with no "
+            f"degrade event ({context})"
         )
-    # Generation fencing across failover: the gen record the primary
-    # logged at LSN 1 reached the standby iff flushed >= 1, and the
-    # promotion recovery must advance past it.
-    floor = 2 if flushed >= 1 else 1
-    if report.generation < floor:
-        raise AssertionError(
-            f"promoted generation {report.generation} below floor "
-            f"{floor} (flushed={flushed}, stage={stage})"
-        )
-
-    # Probe write: acknowledged by the promoted node, must survive the
-    # next restart (WAL LSN monotonicity across the promotion path).
-    recovered.touch("probe_t")
-    probe_epoch = recovered.epoch("probe_t")
-
-    fence_checked = False
-    if fence_check:
-        _verify_fencing(round_dir, primary_dir, manager, term)
-        fence_checked = True
-    manager.close()
-
-    second = Catalog()
-    second_manager = DurabilityManager(
-        promoted_dir, checkpoint_threshold=checkpoint_threshold
-    )
-    second_report = second_manager.attach(second)
-    second_manager.close()
-    second_state = catalog_state(second)
-    expected_epochs = dict(got["epochs"])
-    expected_epochs["probe_t"] = probe_epoch
-    if (
-        second_state["tables"] != got["tables"]
-        or second_state["epochs"] != expected_epochs
-    ):
-        raise AssertionError(
-            f"restart after failover lost acknowledged state "
-            f"(stage={stage}): expected epochs {expected_epochs!r}, got "
-            f"{second_state['epochs']!r}"
-        )
-    if second_report.generation <= report.generation:
-        raise AssertionError(
-            f"generation did not advance across post-failover restart "
-            f"({report.generation} -> {second_report.generation})"
-        )
-    return FailoverVerdict(
-        fired=fired,
-        stage=stage,
-        acked=acked,
-        matched_k=matched_k,
-        flushed=flushed,
-        sync=sync,
-        degraded=degraded,
-        term=term,
-        generation=report.generation,
-        fence_checked=fence_checked,
+    return RoundVerdict(
+        fired, stage, acked, k, report.generation, report,
+        flushed=flushed, sync=sync, degraded=degraded, term=term,
+        fence_checked=fence_check,
     )
 
 
 def _verify_fencing(
-    round_dir: Path,
-    primary_dir: Path,
-    promoted_manager: DurabilityManager,
-    term: int,
+    round_dir: Path, term: int, promoted_manager: DurabilityManager
 ) -> None:
     """The old primary must be structurally incapable of rejoining.
 
@@ -274,65 +162,41 @@ def _verify_fencing(
                 f"promoted node never connected to its new standby "
                 f"(term={term}, s2.term={s2.term})"
             )
-
-        old_catalog = Catalog()
-        old_manager = DurabilityManager(primary_dir)
-        old_manager.attach(old_catalog)
-        old_primary = ReplicationPrimary(old_manager, s2.address)
-        old_manager.replication = old_primary
-        try:
-            if not _wait_for(lambda: old_primary.fenced_by is not None):
-                raise AssertionError(
-                    "revived old primary was never fenced on reconnect"
-                )
-            if old_primary.fenced_by < term:
-                raise AssertionError(
-                    f"old primary fenced by term {old_primary.fenced_by} "
-                    f"< promoted term {term}"
-                )
-            try:
-                apply_op(old_catalog, ("touch", "orders"))
-            except NodeFencedError:
-                pass
-            else:
-                raise AssertionError(
-                    "fenced old primary acknowledged a write"
-                )
-        finally:
-            old_manager.abandon()
-
-        # Second revival: the fence must hold with no network at all —
+        # The second revival must hold the fence with no network at all:
         # the persisted fenced_by meta re-poisons the manager before a
         # single write can land.
-        old2_catalog = Catalog()
-        old2_manager = DurabilityManager(primary_dir)
-        old2_manager.attach(old2_catalog)
-        old2_primary = ReplicationPrimary(old2_manager, s2.address)
-        old2_manager.replication = old2_primary
-        try:
-            if old2_primary.fenced_by is None:
-                raise AssertionError(
-                    "second revival forgot its persisted fence"
-                )
+        for how, wait_s in (("on reconnect", 5.0), ("from its meta", 0.0)):
+            old_catalog = Catalog()
+            old_manager = DurabilityManager(round_dir / "primary")
+            old_manager.attach(old_catalog)
+            old_primary = ReplicationPrimary(old_manager, s2.address)
+            old_manager.replication = old_primary
             try:
-                apply_op(old2_catalog, ("touch", "orders"))
-            except NodeFencedError:
-                pass
-            else:
-                raise AssertionError(
-                    "persistently fenced primary acknowledged a write"
-                )
-        finally:
-            old2_manager.abandon()
+                if not _wait_for(
+                    lambda: old_primary.fenced_by is not None, wait_s
+                ):
+                    raise AssertionError(
+                        f"revived old primary was not fenced {how}"
+                    )
+                if old_primary.fenced_by < term:
+                    raise AssertionError(
+                        f"old primary fenced {how} by term "
+                        f"{old_primary.fenced_by} < promoted term {term}"
+                    )
+                try:
+                    apply_op(old_catalog, ("touch", "orders"))
+                except NodeFencedError:
+                    pass
+                else:
+                    raise AssertionError(
+                        f"old primary fenced {how} acknowledged a write"
+                    )
+            finally:
+                old_manager.abandon()
     finally:
         promoted_manager.replication = None
         new_primary.close()
         s2.close()
-
-
-# ----------------------------------------------------------------------
-# In-process rounds (SimulatedCrash)
-# ----------------------------------------------------------------------
 
 
 def run_inprocess_failover(
@@ -342,80 +206,54 @@ def run_inprocess_failover(
     n_ops: int = 24,
     checkpoint_threshold: int = 1024,
     fence_check: bool = True,
-) -> FailoverVerdict:
+) -> RoundVerdict:
     """One seeded kill/promote/verify round, in-process."""
-    rng = random.Random(seed ^ 0xFA11)
     ops = build_workload(seed, n_ops)
-    stage, at, cut = random_failover_spec(rng, n_ops, ALL_STAGES)
-    sync = rng.random() < 0.5
+    stage, at, cut, sync, drain = draw_round("failover", seed, n_ops)
     round_dir = Path(base_dir) / f"failover_{seed}"
-    primary_dir = round_dir / "primary"
-    standby_dir = round_dir / "standby"
 
-    standby = ReplicationStandby(
-        standby_dir, checkpoint_threshold=checkpoint_threshold
-    )
+    def restart_standby(port: int = 0) -> ReplicationStandby:
+        # On the old port, the primary's reconnect loop finds the new
+        # incarnation and the stream resumes from its sealed tail.
+        # Lingering accepted sockets can hold the port briefly; retry,
+        # then fall back to an ephemeral port (the primary simply never
+        # reconnects in that case).
+        deadline = time.monotonic() + 2.0
+        while True:
+            try:
+                return ReplicationStandby(
+                    round_dir / "standby", port=port,
+                    checkpoint_threshold=checkpoint_threshold,
+                )
+            except OSError:
+                if not port:
+                    raise
+                if time.monotonic() >= deadline:
+                    port = 0
+                time.sleep(0.05)
+
+    standby = restart_standby()
     catalog = Catalog()
     manager = DurabilityManager(
-        primary_dir, checkpoint_threshold=checkpoint_threshold
+        round_dir / "primary", checkpoint_threshold=checkpoint_threshold
     )
     manager.attach(catalog)
-    primary = ReplicationPrimary(
-        manager, standby.address, sync=sync, ack_timeout_s=0.25
-    )
-    manager.replication = primary
-
+    primary = _replicate(standby.address, sync, manager)
     injector = faults.FaultInjector().durability_crash(
         stage, at=at, cut=cut, action="raise"
     )
-    acked = 0
-    fired = False
-    term = 0
     with faults.inject(injector):
-        try:
-            for op in ops:
-                apply_op(catalog, op)
-                acked += 1
-        except SimulatedCrash:
-            fired = True
-
-        def restart_standby(keep_port: bool = True) -> "ReplicationStandby":
-            # Same port, so the primary's reconnect loop finds the new
-            # incarnation and the stream resumes from its sealed tail.
-            # Lingering accepted sockets can hold the port briefly;
-            # retry, then fall back to an ephemeral port (the primary
-            # simply never reconnects in that case).  Once the primary
-            # is dead the port no longer matters.
-            if not keep_port:
-                return ReplicationStandby(
-                    standby_dir, checkpoint_threshold=checkpoint_threshold
-                )
-            port = standby.address[1]
-            deadline = time.monotonic() + 2.0
-            while True:
-                try:
-                    return ReplicationStandby(
-                        standby_dir, port=port,
-                        checkpoint_threshold=checkpoint_threshold,
-                    )
-                except OSError:
-                    if time.monotonic() >= deadline:
-                        return ReplicationStandby(
-                            standby_dir,
-                            checkpoint_threshold=checkpoint_threshold,
-                        )
-                    time.sleep(0.05)
-
+        acked, fired = apply_until_crash(catalog, ops)
         # A fault may have killed the *standby* instead (the stages are
         # shared: its replica manager runs the same WAL code).  Restart
         # it — recovery seals the torn tail and sweeps spool files —
         # and let the live primary re-stream to it.
         if standby.crashed:
-            standby = restart_standby()
+            standby = restart_standby(standby.address[1])
         # Half the rounds promote at whatever lag exists right now; the
         # other half let the stream drain first, covering both the
         # laggy and the caught-up promotion paths.
-        if rng.random() < 0.5 and not fired:
+        if drain and not fired:
             tail = manager.wal.last_lsn if manager.wal is not None else 0
             _wait_for(lambda: standby.flushed_lsn >= tail, timeout_s=1.0)
         degraded = primary.degraded
@@ -425,7 +263,8 @@ def run_inprocess_failover(
         # listener closes but before the bumped term is durable — the
         # next incarnation must come back unpromoted and retry cleanly.
         # The standby can also simulated-crash in a serve thread right
-        # up to the promotion point, so retry around that too.
+        # up to the promotion point, so retry around that too.  Once
+        # the primary is dead the standby's port no longer matters.
         term = -1
         for _ in range(3):
             try:
@@ -434,85 +273,22 @@ def run_inprocess_failover(
             except SimulatedCrash:
                 fired = True
                 standby.abandon()
-                standby = restart_standby(keep_port=False)
             except ReplicationError:
                 # promote() refuses a closed standby: a serve thread
                 # simulated-crashed it after our aliveness check.
-                _wait_for(lambda: standby.crashed, timeout_s=1.0)
-                if standby.crashed:
-                    standby = restart_standby(keep_port=False)
-                else:
+                if not _wait_for(lambda: standby.crashed, timeout_s=1.0):
                     raise
+            standby = restart_standby()
         if term < 0:
             raise AssertionError("standby promotion did not converge")
     # Faults on the replication stages fire in the sender / serve
     # threads, not the writer: the injector's counter sees them all.
-    fired = fired or injector.fired > 0
-    flushed = standby.flushed_lsn
-
-    return _verify_failover(
-        round_dir,
-        primary_dir,
-        standby_dir,
-        ops,
-        acked,
-        flushed,
-        strict_sync=sync and not degraded,
-        sync=sync,
-        degraded=degraded,
-        stage=stage if fired else None,
-        fired=fired,
-        term=term,
-        checkpoint_threshold=checkpoint_threshold,
-        fence_check=fence_check,
+    return _audit_failover(
+        round_dir, ops, acked, standby.flushed_lsn,
+        fired=fired or injector.fired > 0, stage=stage, sync=sync,
+        degraded=degraded, term=term,
+        checkpoint_threshold=checkpoint_threshold, fence_check=fence_check,
     )
-
-
-# ----------------------------------------------------------------------
-# Subprocess rounds (real SIGKILL; standby survives in the parent)
-# ----------------------------------------------------------------------
-
-
-def _subprocess_primary(
-    directory: str,
-    ack_path: str,
-    seed: int,
-    n_ops: int,
-    stage: str,
-    at: int,
-    cut: Optional[int],
-    checkpoint_threshold: int,
-    standby_host: str,
-    standby_port: int,
-    sync: bool,
-) -> None:
-    """Child body: a replicating primary with a ``kill`` fault armed.
-
-    Acks each op through an fsync'd file exactly the way a client would
-    observe commits — in sync mode the ack therefore happens only after
-    the standby flush (or an explicit degrade)."""
-    ops = build_workload(seed, n_ops)
-    catalog = Catalog()
-    manager = DurabilityManager(
-        directory, checkpoint_threshold=checkpoint_threshold
-    )
-    manager.attach(catalog)
-    primary = ReplicationPrimary(
-        manager, (standby_host, standby_port), sync=sync, ack_timeout_s=0.25
-    )
-    manager.replication = primary
-    injector = faults.FaultInjector().durability_crash(
-        stage, at=at, cut=cut, action="kill"
-    )
-    ack = open(ack_path, "a", buffering=1)
-    with faults.inject(injector):
-        for index, op in enumerate(ops):
-            apply_op(catalog, op)
-            ack.write(f"{index + 1}\n")
-            ack.flush()
-            os.fsync(ack.fileno())
-    ack.close()
-    manager.close()
 
 
 def run_subprocess_failover(
@@ -523,47 +299,26 @@ def run_subprocess_failover(
     checkpoint_threshold: int = 1024,
     timeout_s: float = 30.0,
     fence_check: bool = True,
-) -> FailoverVerdict:
-    """One seeded round with a real SIGKILL'd primary subprocess."""
-    import multiprocessing
+) -> RoundVerdict:
+    """One seeded round with a real SIGKILL'd primary subprocess.
 
-    from .crash import _read_acked
-
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else methods[0]
-    )
-    rng = random.Random(seed ^ 0xF0F0)
+    The child acks each op the way a client observes commits — in sync
+    mode, therefore, only after the standby flush (or a degrade)."""
     ops = build_workload(seed, n_ops)
-    stage, at, cut = random_failover_spec(rng, n_ops, PRIMARY_STAGES)
-    sync = rng.random() < 0.5
+    stage, at, cut, sync = draw_round("failover_kill", seed, n_ops)
     round_dir = Path(base_dir) / f"failover_kill_{seed}"
-    primary_dir = round_dir / "primary"
-    standby_dir = round_dir / "standby"
-    primary_dir.mkdir(parents=True, exist_ok=True)
-    ack_path = primary_dir / "acks"
-
     standby = ReplicationStandby(
-        standby_dir, checkpoint_threshold=checkpoint_threshold
+        round_dir / "standby", checkpoint_threshold=checkpoint_threshold
     )
-    proc = ctx.Process(
-        target=_subprocess_primary,
-        args=(
-            str(primary_dir), str(ack_path), seed, n_ops, stage, at, cut,
-            checkpoint_threshold, standby.address[0], standby.address[1],
-            sync,
-        ),
-    )
-    proc.start()
-    proc.join(timeout_s)
-    if proc.is_alive():  # pragma: no cover - hung writer
-        proc.terminate()
-        proc.join(5.0)
+    try:
+        fired, acked = run_ack_writer(
+            round_dir / "primary", ops, (stage, at, cut),
+            checkpoint_threshold=checkpoint_threshold, timeout_s=timeout_s,
+            attach=functools.partial(_replicate, standby.address, sync),
+        )
+    except AssertionError:  # pragma: no cover - hung writer
         standby.close()
-        raise AssertionError(f"primary subprocess hung (seed={seed})")
-    fired = proc.exitcode != 0  # -SIGKILL when the fault fired
-
-    acked = _read_acked(ack_path)
+        raise
     # Everything the dead primary put on the wire is in the kernel
     # buffer; give the standby's serve thread a moment to drain it
     # (wait until the flushed LSN stops moving).
@@ -578,23 +333,10 @@ def run_subprocess_failover(
             settled_at = time.monotonic()
         elif time.monotonic() - settled_at > 0.15:
             break
-    degraded = (primary_dir / DEGRADE_MARKER_NAME).exists()
+    degraded = (round_dir / "primary" / DEGRADE_MARKER_NAME).exists()
     term = standby.promote()
-    flushed = standby.flushed_lsn
-
-    return _verify_failover(
-        round_dir,
-        primary_dir,
-        standby_dir,
-        ops,
-        acked,
-        flushed,
-        strict_sync=sync and not degraded,
-        sync=sync,
-        degraded=degraded,
-        stage=stage if fired else None,
-        fired=fired,
-        term=term,
-        checkpoint_threshold=checkpoint_threshold,
-        fence_check=fence_check,
+    return _audit_failover(
+        round_dir, ops, acked, standby.flushed_lsn,
+        fired=fired, stage=stage, sync=sync, degraded=degraded, term=term,
+        checkpoint_threshold=checkpoint_threshold, fence_check=fence_check,
     )

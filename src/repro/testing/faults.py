@@ -25,6 +25,10 @@ no randomness:
     cap.  These are consulted by
     :meth:`repro.resilience.workers.WorkerPool` per dispatch via the
     ``worker_fault`` hook.
+``durability_crash``
+    Crash the writer (raise ``SimulatedCrash``, or SIGKILL it) at a WAL,
+    checkpoint or replication fault point.  :data:`FAULT_POINTS` lists
+    them, with the rules the crash and failover harnesses draw them by.
 
 :func:`inject` arms :data:`repro.resilience.runtime.FAULTS` for the
 duration of a ``with`` block; :func:`poison_traces` swaps cached fused
@@ -35,7 +39,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+import random
+from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..resilience import runtime
 from ..udf.definition import UdfDefinition, UdfKind
@@ -44,8 +49,13 @@ __all__ = [
     "InjectedFault",
     "PoisonedTraceError",
     "FaultInjector",
+    "FaultPoint",
+    "FAULT_POINTS",
     "DURABILITY_STAGES",
     "REPLICATION_STAGES",
+    "PRIMARY_STAGES",
+    "ALL_STAGES",
+    "draw_fault",
     "inject",
     "poison_traces",
 ]
@@ -197,40 +207,6 @@ class FaultInjector:
         )
         return self
 
-    #: Durability fault stages, in write-path order.  ``wal_append``
-    #: supports a byte ``cut`` (torn frame); ``wal_fsync`` models a
-    #: crash before the fsync returns (a short/lost fsync: the frame may
-    #: be complete on disk but was never acknowledged); the checkpoint
-    #: stages bracket the atomic-install protocol (mid temp-file write,
-    #: before ``os.replace``, and after replace but before the WAL is
-    #: reset); ``wal_reset`` lands inside the post-checkpoint log reset
-    #: between the truncate and the new header (``cut`` tears the
-    #: header itself), the window that loses the log's ``base_lsn``.
-    DURABILITY_STAGES = (
-        "wal_append",
-        "wal_fsync",
-        "checkpoint_write",
-        "checkpoint_replace",
-        "checkpoint_reset",
-        "wal_reset",
-    )
-
-    #: Replication fault stages.  Kept separate from DURABILITY_STAGES —
-    #: the crash harness samples stages with ``rng.choice`` over that
-    #: tuple, and extending it would silently shift every seeded draw in
-    #: existing tests.  ``repl_send`` lands in the primary's sender loop
-    #: mid-frame (``cut`` tears the wire bytes); ``repl_handshake``
-    #: brackets the HELLO/WELCOME exchange; ``repl_promote`` lands inside
-    #: promotion after the listener closes but before the bumped fencing
-    #: term is durable; ``repl_install`` lands inside the standby's
-    #: shipped-checkpoint install after the spool file is created.
-    REPLICATION_STAGES = (
-        "repl_send",
-        "repl_handshake",
-        "repl_promote",
-        "repl_install",
-    )
-
     def durability_crash(
         self,
         stage: str,
@@ -241,7 +217,7 @@ class FaultInjector:
     ) -> "FaultInjector":
         """Crash the process at a durability fault point.
 
-        ``stage`` is one of :data:`DURABILITY_STAGES`; ``at`` selects the
+        ``stage`` is a row of :data:`FAULT_POINTS`; ``at`` selects the
         n-th (0-based) time that stage is reached; ``cut`` (where the
         stage supports it) writes only the first ``cut`` bytes of the
         frame/file first — a torn write.  ``action`` is ``"raise"``
@@ -249,10 +225,7 @@ class FaultInjector:
         harness) or ``"kill"`` (``SIGKILL`` the calling process, for the
         subprocess harness — a real mid-write death).
         """
-        if (
-            stage not in self.DURABILITY_STAGES
-            and stage not in self.REPLICATION_STAGES
-        ):
+        if stage not in FAULT_POINTS:
             raise ValueError(f"unknown durability stage {stage!r}")
         if action not in ("raise", "kill"):
             raise ValueError(f"unknown crash action {action!r}")
@@ -350,11 +323,74 @@ class FaultInjector:
         return None
 
 
-#: Module-level alias for the durability crash stages.
-DURABILITY_STAGES = FaultInjector.DURABILITY_STAGES
+class FaultPoint(NamedTuple):
+    """One durability or replication fault point, and how rounds draw it."""
 
-#: Module-level alias for the replication crash stages.
-REPLICATION_STAGES = FaultInjector.REPLICATION_STAGES
+    stage: str
+    #: ``"durability"``, or the replication side that reaches it:
+    #: ``"primary"`` or ``"standby"``.
+    side: str
+    #: Occurrences ``at`` is drawn from: ``None`` any op of the workload,
+    #: ``n`` the first ``n``; ``1`` is always the first, with no RNG draw.
+    span: Optional[int]
+    #: A byte ``cut`` may tear the write.
+    tearable: bool
+
+
+#: Every fault point.  Row order is draw order: the stage views below
+#: keep it, and :func:`draw_fault` picks a stage with ``rng.choice`` over
+#: a view, so moving a row reseeds every crash and failover round.
+FAULT_POINTS = {point.stage: point for point in (
+    # A WAL frame write (a cut tears the frame), and a crash before its
+    # fsync returns: the frame may be on disk but was never acknowledged.
+    FaultPoint("wal_append", "durability", None, True),
+    FaultPoint("wal_fsync", "durability", None, False),
+    # The atomic checkpoint install: mid temp-file write, before
+    # ``os.replace``, and after it but before the WAL is reset.  These
+    # occur once per threshold crossing, so rounds target the first few.
+    FaultPoint("checkpoint_write", "durability", 3, True),
+    FaultPoint("checkpoint_replace", "durability", 3, False),
+    FaultPoint("checkpoint_reset", "durability", 3, False),
+    # The post-checkpoint log reset, between the truncate and the new
+    # header (a cut tears the header): the window that loses ``base_lsn``.
+    FaultPoint("wal_reset", "durability", 3, True),
+    # The primary's sender loop mid-frame (a cut tears the wire bytes),
+    # and its HELLO/WELCOME exchange.
+    FaultPoint("repl_send", "primary", None, True),
+    FaultPoint("repl_handshake", "primary", 1, False),
+    # Promotion after the listener closes but before the bumped fencing
+    # term is durable, and the standby's shipped-checkpoint install after
+    # its spool file is created.
+    FaultPoint("repl_promote", "standby", 1, False),
+    FaultPoint("repl_install", "standby", 1, False),
+)}
+
+
+def _stages(*sides: str) -> Tuple[str, ...]:
+    return tuple(p.stage for p in FAULT_POINTS.values() if p.side in sides)
+
+
+DURABILITY_STAGES = _stages("durability")
+REPLICATION_STAGES = _stages("primary", "standby")
+#: The stages a writer hosting a replicating primary can die at.
+PRIMARY_STAGES = _stages("durability", "primary")
+ALL_STAGES = tuple(FAULT_POINTS)
+
+
+def draw_fault(
+    rng: random.Random, n_ops: int, stages: Sequence[str]
+) -> Tuple[str, int, Optional[int]]:
+    """Draw one ``(stage, at, cut)`` fault point from ``stages``.
+
+    ``cut`` tears the write at a random byte; ``None`` lets the whole
+    write land before the crash: the durable-but-unacked window.
+    """
+    point = FAULT_POINTS[rng.choice(stages)]
+    at = 0 if point.span == 1 else rng.randrange(point.span or max(1, n_ops))
+    cut = None
+    if point.tearable and rng.random() < 0.7:
+        cut = rng.randrange(0, 200)
+    return point.stage, at, cut
 
 
 @contextlib.contextmanager
@@ -390,8 +426,6 @@ def _poison_definition(definition: UdfDefinition) -> UdfDefinition:
         replacements["scalar_batch_func"] = poisoned
     if definition.expand_batch_func is not None:
         replacements["expand_batch_func"] = poisoned
-    if definition.lineage_func is not None:
-        replacements["lineage_func"] = poisoned
     return dataclasses.replace(definition, **replacements)
 
 

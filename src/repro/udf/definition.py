@@ -73,11 +73,6 @@ class UdfDefinition:
     #: behaviour, so memo/result caching gates on this stricter flag —
     #: unannotated UDFs are conservatively treated as impure for caching.
     deterministic_annotated: bool = False
-    #: For generated (fused) table UDFs: a batch generator yielding
-    #: ``(input_row_index, out...)`` tuples, letting expand-mode
-    #: execution stream the whole input through one generator instead of
-    #: instantiating one generator per row.
-    lineage_func: Optional[Callable] = None
     #: For generated (fused) table UDFs: the fully JIT-generated expand
     #: wrapper ``(c_inputs, size, in_types) -> (lineage, out_lists)``
     #: with boundary conversions inlined into the fused loop.

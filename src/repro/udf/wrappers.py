@@ -360,19 +360,6 @@ def _build_table_wrapper(udf: UdfDefinition) -> GeneratedWrapper:
                 builder.line(
                     "return batch_udf(c_inputs, size, in_types)"
                 )
-            elif udf.lineage_func is not None:
-                # Fast path for generated pipelines: one batch generator
-                # tagging outputs with input indices.
-                with builder.block(
-                    "for row in lineage_udf("
-                    "_inp_datagen(c_inputs, size, in_types), *const_args):"
-                ):
-                    builder.line("lineage.append(row[0])")
-                    for i_out in range(num_out):
-                        builder.line(
-                            f"out{i_out}.append("
-                            f"python_to_c(row[{i_out + 1}], OUT_TYPES[{i_out}]))"
-                        )
             else:
                 builder.line("_policy = _rt_policy()")
                 with builder.block("for i in range(size):"):
@@ -447,7 +434,6 @@ def _build_table_wrapper(udf: UdfDefinition) -> GeneratedWrapper:
     source = builder.source()
     namespace = _base_namespace(udf)
     namespace["udf"] = udf.func
-    namespace["lineage_udf"] = udf.lineage_func
     namespace["batch_udf"] = udf.expand_batch_func
     entry = _compile(source, namespace, f"wrapper_{udf.name}")
     expand_entry = namespace[f"wrapper_{udf.name}_expand"]

@@ -162,7 +162,7 @@ class TestConfigFingerprint:
         base = QFusorConfig()
         assert fp.config_fingerprint(base) == fp.config_fingerprint(QFusorConfig())
         assert fp.config_fingerprint(base) != fp.config_fingerprint(
-            base.ablated(inline=False)
+            base.ablated(reorder=False)
         )
         assert fp.config_fingerprint(base) != fp.config_fingerprint(
             QFusorConfig.cached()

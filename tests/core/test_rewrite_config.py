@@ -128,8 +128,8 @@ class TestConfigProfiles:
 
     def test_ablated_copies(self):
         base = QFusorConfig()
-        variant = base.ablated(inline=False)
-        assert base.inline and not variant.inline
+        variant = base.ablated(reorder=False)
+        assert base.reorder and not variant.reorder
         assert variant.fuse_udfs  # everything else untouched
 
     def test_filter_threshold_semantics(self):
@@ -184,8 +184,10 @@ ADAPTER_FAMILY = (
 
 class TestKnobRatchet:
     def test_field_count_only_goes_down(self):
-        assert len(dataclasses.fields(QFusorConfig)) <= 27
+        assert len(dataclasses.fields(QFusorConfig)) <= 26
         assert len(set(REMOVED_KNOBS)) == 22
+        with pytest.raises(TypeError):  # codegen always inlines
+            QFusorConfig(inline=False)
 
     @pytest.mark.parametrize("name", REMOVED_KNOBS)
     def test_removed_knobs_are_rejected(self, name):

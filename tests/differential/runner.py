@@ -122,7 +122,6 @@ class DifferentialRunner:
                     QFusorConfig.translated(
                         jit=False, fuse_udfs=False, offload_relational=False,
                         offload_aggregations=False, reorder=False,
-                        inline=False,
                     ),
                 ),
             )

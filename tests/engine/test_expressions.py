@@ -498,11 +498,12 @@ def python_calls(fn):
         if event == "call":
             count += 1
 
+    outer = sys.getprofile()
     sys.setprofile(profiler)
     try:
         fn()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     return count
 
 

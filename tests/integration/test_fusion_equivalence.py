@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import QFusor, QFusorConfig
 from repro.engines import MiniDbAdapter, RowStoreAdapter, TupleDbAdapter
+from repro.jit import codegen
 from repro.workloads import udfbench, udo_wl, weld_wl, zillow
 
 ALL_SQL = {}
@@ -38,13 +39,19 @@ CONFIGS = {
     "no_agg_offload": QFusorConfig.no_aggregation_offload(),
     "yesql": QFusorConfig.yesql_like(),
     "no_cache": QFusorConfig(trace_cache=False),
-    "no_inline": QFusorConfig(inline=False),
+    # Inlining has no switch; this row makes the inliner refuse every
+    # body, so each fused stage is a call.
+    "no_inline": QFusorConfig(),
 }
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("query_name", sorted(ALL_SQL))
-def test_config_equivalence_on_minidb(reference, config_name, query_name):
+def test_config_equivalence_on_minidb(
+    reference, config_name, query_name, monkeypatch
+):
+    if config_name == "no_inline":
+        monkeypatch.setattr(codegen, "try_inline", lambda func: None)
     qfusor = QFusor(setup_all(MiniDbAdapter()), CONFIGS[config_name])
     got = sorted(map(repr, qfusor.execute(ALL_SQL[query_name]).to_rows()))
     assert got == reference[query_name]

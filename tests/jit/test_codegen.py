@@ -122,6 +122,12 @@ class TestTF3ScalarTable:
         out = list(self.make().definition.func(iter([("A B",), ("C",)])))
         assert out == [("a",), ("b",), ("c",)]
 
+    def test_trace_length_counts_each_stage_once(self):
+        # The table body and its __expand_batch wrapper are one trace.
+        fused = self.make()
+        assert (fused.inlined_stages, fused.called_stages) == (1, 1)
+        assert fused.trace_length == 2
+
 
 class TestTF4TableTable:
     def test_composition(self):
