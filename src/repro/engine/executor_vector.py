@@ -34,6 +34,7 @@ from ..types import SqlType
 from ..udf.definition import UdfKind
 from .expressions import FunctionResolver, VectorEvaluator, truth_mask
 from .expressions import compile as compile_kernel
+from .keys import factorize, join_codes, joint_column
 from .plan import (
     Aggregate, CteScan, Distinct, Expand, Field, Filter, FusedFilter,
     Join, Limit, OneRow, PlanNode, Project, Requalify, Scan, SetOperation,
@@ -282,19 +283,9 @@ class VectorExecutor:
                 evaluator.evaluate(item.expr, columns, size, item.name)
                 for item in node.group_items
             ]
-            key_lists = [c.to_list() for c in key_columns]
-            group_of: Dict[Tuple, int] = {}
-            group_ids = np.empty(size, dtype=np.int64)
-            first_row: List[int] = []
-            for i, key in enumerate(guarded_iter(zip(*key_lists))):
-                gid = group_of.get(key)
-                if gid is None:
-                    gid = len(group_of)
-                    group_of[key] = gid
-                    first_row.append(i)
-                group_ids[i] = gid
-            num_groups = len(group_of)
-            out_key_columns = [col.take(first_row) for col in key_columns]
+            group_ids, first_rows = factorize(key_columns)
+            num_groups = len(first_rows)
+            out_key_columns = [col.take(first_rows) for col in key_columns]
         else:
             group_ids = np.zeros(size, dtype=np.int64)
             num_groups = 1
@@ -451,37 +442,29 @@ class VectorExecutor:
         self, equi, left_cols, left_size, right_cols, right_size,
         left_schema, right_schema,
     ):
+        """``(left_idx, right_idx, unmatched_left)`` of an equi-join on
+        key codes: every left row in order, each with its right matches
+        in order, as a per-row probe of a hash table would emit them."""
         left_eval = VectorEvaluator(left_schema, self.resolver)
         right_eval = VectorEvaluator(right_schema, self.resolver)
-        left_keys = [
-            left_eval.evaluate(l_expr, left_cols, left_size).to_list()
-            for l_expr, _ in equi
-        ]
-        right_keys = [
-            right_eval.evaluate(r_expr, right_cols, right_size).to_list()
-            for _, r_expr in equi
-        ]
-        table: Dict[Tuple, List[int]] = {}
-        for j, key in enumerate(zip(*right_keys)):
-            if any(k is None for k in key):
-                continue
-            table.setdefault(key, []).append(j)
-        left_idx: List[int] = []
-        right_idx: List[int] = []
-        matched = np.zeros(left_size, dtype=bool)
-        for i, key in enumerate(guarded_iter(zip(*left_keys))):
-            if any(k is None for k in key):
-                continue
-            for j in table.get(key, ()):
-                left_idx.append(i)
-                right_idx.append(j)
-                matched[i] = True
-        unmatched = np.flatnonzero(~matched)
-        return (
-            np.asarray(left_idx, dtype=np.int64),
-            np.asarray(right_idx, dtype=np.int64),
-            unmatched,
+        left_codes, right_codes, k = join_codes(
+            [left_eval.evaluate(l_expr, left_cols, left_size) for l_expr, _ in equi],
+            [right_eval.evaluate(r_expr, right_cols, right_size) for _, r_expr in equi],
         )
+        # Right rows grouped by code, each group in row order.
+        build = np.flatnonzero(right_codes >= 0)
+        build_codes = right_codes[build]
+        build = build[np.argsort(build_codes, kind="stable")]
+        counts = np.bincount(build_codes, minlength=k)
+        starts = np.cumsum(counts) - counts
+        probe = np.maximum(left_codes, 0)
+        matches = np.where(left_codes >= 0, counts[probe], 0)
+        left_idx = np.repeat(np.arange(left_size, dtype=np.int64), matches)
+        offsets = np.arange(len(left_idx)) - np.repeat(
+            np.cumsum(matches) - matches, matches
+        )
+        right_idx = build[np.repeat(starts[probe], matches) + offsets]
+        return left_idx, right_idx, np.flatnonzero(matches == 0)
 
     # ------------------------------------------------------------------
     # Sort / Distinct / Limit / SetOperation / TableFunctionScan
@@ -500,15 +483,7 @@ class VectorExecutor:
 
     def _distinct(self, node: Distinct, ctes) -> Relation:
         columns, size = self._run(node.child, ctes)
-        lists = [c.to_list() for c in columns]
-        seen = set()
-        keep: List[int] = []
-        for i, row in enumerate(
-            guarded_iter(zip(*lists) if lists else ((),) * size)
-        ):
-            if row not in seen:
-                seen.add(row)
-                keep.append(i)
+        _, keep = factorize(columns, size)
         return [c.take(keep) for c in columns], len(keep)
 
     def _limit(self, node: Limit, ctes) -> Relation:
@@ -527,23 +502,25 @@ class VectorExecutor:
                 for l, r in zip(left_cols, right_cols)
             ]
             return columns, left_size + right_size
-        left_rows = list(zip(*[c.to_list() for c in left_cols])) if left_cols else []
-        right_rows = list(zip(*[c.to_list() for c in right_cols])) if right_cols else []
-        if node.op == "UNION":
-            rows = list(dict.fromkeys(left_rows + right_rows))
-        elif node.op == "INTERSECT":
-            right_set = set(right_rows)
-            rows = list(dict.fromkeys(r for r in left_rows if r in right_set))
-        elif node.op == "EXCEPT":
-            right_set = set(right_rows)
-            rows = list(dict.fromkeys(r for r in left_rows if r not in right_set))
-        else:
+        if node.op not in ("UNION", "INTERSECT", "EXCEPT"):
             raise ExecutionError(f"unknown set operation {node.op!r}")
+        joint = [joint_column(l, r) for l, r in zip(left_cols, right_cols)]
+        # Set operations were never row-governed: only _run charges them.
+        codes, keep = factorize(joint, left_size + right_size, charge=0)
+        if node.op != "UNION":
+            # First-seen numbering over left-then-right: the left rows'
+            # codes are 0..m-1, first seen at keep[:m].
+            in_right = np.zeros(len(keep), dtype=bool)
+            in_right[codes[left_size:]] = True
+            left_keep = keep < left_size
+            found = in_right[left_keep]
+            keep = keep[left_keep][found if node.op == "INTERSECT" else ~found]
         columns = [
-            Column(f.name, f.sql_type, [row[i] for row in rows], validate=False)
-            for i, f in enumerate(node.schema)
+            col.take(keep).renamed(f.name) if col.sql_type is f.sql_type
+            else Column(f.name, f.sql_type, col.take(keep).to_list(), validate=False)
+            for col, f in zip(joint, node.schema)
         ]
-        return columns, len(rows)
+        return columns, len(keep)
 
     def _table_function(self, node: TableFunctionScan, ctes) -> Relation:
         registered = self.resolver.udf(node.udf_name)

@@ -30,6 +30,7 @@ from ..storage.column import Column
 from ..types import NUMPY_DTYPES, SqlType, common_type, is_numeric
 from ..udf import boundary
 from ..udf.definition import UdfKind
+from . import keys
 from .functions import BUILTIN_AGGREGATES, BUILTIN_SCALARS, like_to_regex
 from .plan import Field, bind_column
 
@@ -334,7 +335,7 @@ def compile(  # noqa: A001 - the engine's compile step, not the builtin
         value, sql_type = expr.value, expr.sql_type or SqlType.INT
         return lambda columns, size: _broadcast(value, sql_type, size)
     if isinstance(expr, ast.BinaryOp):
-        apply = _binary_kernel(expr.op, expr.right)
+        apply = _binary_kernel(expr.op, expr.left, expr.right)
         left, right = build(expr.left), build(expr.right)
         return lambda columns, size: apply(left(columns, size), right(columns, size))
     if isinstance(expr, ast.FunctionCall):
@@ -458,6 +459,9 @@ def _broadcast(value: Any, sql_type: SqlType, size: int) -> Column:
     return Column.from_numpy("lit", sql_type, np.full(size, value, dtype=object))
 
 
+_OBJECT_TYPES = (SqlType.TEXT, SqlType.JSON)
+
+
 def _all_numeric(*cols: Column) -> bool:
     return all(is_numeric(col.sql_type) for col in cols)
 
@@ -481,6 +485,54 @@ def _map_rows(
     return Column("expr", sql_type, out, validate=False)
 
 
+def _map_strict(
+    func: Callable, sql_type: SqlType, cols: Sequence[Column], size: int,
+    varying: Optional[int],
+) -> Column:
+    """A strict ``func`` over the rows of ``cols``.  ``varying`` is the
+    position of the only operand that is not a literal, when exactly one
+    is not; if that operand has a dictionary, ``func`` runs once per
+    dictionary value and the results are gathered back by code, else
+    this is :func:`_map_rows`.
+
+    The values run in first-seen order, so a raising ``func`` raises on
+    the same value as the row loop, and a dictionary holds only values
+    its rows hold (see :meth:`Column.dictionary`), so it raises only if
+    the row loop would.  A TEXT/JSON result carries its own deduplicated
+    dictionary into the next operator."""
+    found = None
+    if varying is not None and size and cols[varying].sql_type in _OBJECT_TYPES:
+        found = cols[varying].dictionary()
+    if found is not None:
+        args = [other[0] for other in cols]  # the other operands are literals
+        if any(arg is None for i, arg in enumerate(args) if i != varying):
+            found = None  # a NULL literal: the row loop's all-NULL answer
+    if found is None:
+        return _map_rows(func, sql_type, cols, size)
+    codes, values = found
+    out = []
+    for value in values.tolist():
+        if value is None:
+            out.append(None)
+            continue
+        args[varying] = value
+        out.append(func(*args))
+    if sql_type not in _OBJECT_TYPES:
+        return Column("expr", sql_type, out, validate=False).take(codes)
+    results = np.empty(len(out), dtype=object)
+    results[:] = out
+    out_codes, first_rows = keys.encode_objects(results)
+    return Column.from_dictionary(
+        "expr", sql_type, out_codes[codes], results[first_rows]
+    )
+
+
+def _varying(operands: Sequence[ast.Expr]) -> Optional[int]:
+    """Position of the only operand that is not a literal, if one is."""
+    slots = [i for i, e in enumerate(operands) if not isinstance(e, ast.Literal)]
+    return slots[0] if len(slots) == 1 else None
+
+
 def _member(value: Any, members: Sequence[Any], negated: bool) -> Any:
     """``value [NOT] IN members`` for one row (three-valued)."""
     if value is None:
@@ -490,21 +542,27 @@ def _member(value: Any, members: Sequence[Any], negated: bool) -> Any:
     return None if None in members else negated
 
 
-def _binary_kernel(op: str, pattern: ast.Expr) -> Callable[[Column, Column], Column]:
+def _binary_kernel(
+    op: str, left: ast.Expr, right: ast.Expr
+) -> Callable[[Column, Column], Column]:
     """The whole-column implementation of binary operator ``op``."""
     if op in ("AND", "OR"):
         return lambda a, b: _logical(op, a, b)
+    varying = _varying((left, right))
     if op == "||":  # "{}{}".format(x, y) is str(x) + str(y) without a Python frame
-        return lambda a, b: _map_rows("{}{}".format, SqlType.TEXT, [a, b], len(a))
+        return lambda a, b: _map_strict(
+            "{}{}".format, SqlType.TEXT, [a, b], len(a), varying
+        )
     if op == "LIKE":
-        if isinstance(pattern, ast.Literal) and isinstance(pattern.value, str):
-            match = like_to_regex(pattern.value).match  # compiled once
-            return lambda a, b: _map_rows(
-                lambda v: match(v) is not None, SqlType.BOOL, [a], len(a)
+        if isinstance(right, ast.Literal) and isinstance(right.value, str):
+            match = like_to_regex(right.value).match  # compiled once
+            only = 0 if varying == 0 else None
+            return lambda a, b: _map_strict(
+                lambda v: match(v) is not None, SqlType.BOOL, [a], len(a), only
             )
-        return lambda a, b: _map_rows(
+        return lambda a, b: _map_strict(
             lambda v, p: like_to_regex(p).match(v) is not None,
-            SqlType.BOOL, [a, b], len(a),
+            SqlType.BOOL, [a, b], len(a), varying,
         )
     if op not in _ARITH and op not in _COMPARE:
         raise ExecutionError(f"unknown operator {op!r}")
@@ -513,7 +571,9 @@ def _binary_kernel(op: str, pattern: ast.Expr) -> Callable[[Column, Column], Col
         if _all_numeric(a, b):
             return _numeric_binary(op, a, b)
         if op in _COMPARE:
-            return _map_rows(_COMPARE[op], SqlType.BOOL, [a, b], len(a))
+            return _map_strict(
+                _COMPARE[op], SqlType.BOOL, [a, b], len(a), varying
+            )
         sql_type = SqlType.FLOAT if op == "/" else (
             a.sql_type if a.sql_type is not SqlType.BOOL else SqlType.INT
         )
@@ -568,8 +628,13 @@ def _compile_call(
     if builtin is not None:
         func, strict = builtin.func, builtin.strict
         sql_type = infer_type(expr, fields, resolver)
-        return lambda columns, size: _map_rows(
-            func, sql_type, [arg(columns, size) for arg in args], size, strict
+        if not strict:
+            return lambda columns, size: _map_rows(
+                func, sql_type, [arg(columns, size) for arg in args], size, False
+            )
+        varying = _varying(expr.args)
+        return lambda columns, size: _map_strict(
+            func, sql_type, [arg(columns, size) for arg in args], size, varying
         )
     name = expr.name
 

@@ -37,7 +37,7 @@ import contextlib
 import ctypes
 import threading
 import time
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import (
     AdmissionTimeoutError,
@@ -62,6 +62,7 @@ __all__ = [
     "checkpoint",
     "cooperative_sleep",
     "guarded_iter",
+    "guarded_chunks",
     "spawn_shield",
     "interrupt_shield",
 ]
@@ -745,6 +746,27 @@ def guarded_iter(iterable: Iterable, stride: int = CHECK_STRIDE) -> Iterator:
         yield item
     if count > charged:
         charge(count - charged)
+
+
+def guarded_chunks(size: int, chunk: int) -> Iterator[Tuple[int, int]]:
+    """``range(size)`` as ``(start, stop)`` chunks of ``chunk`` rows (a
+    multiple of ``CHECK_STRIDE``).  Before handing out a chunk it makes
+    the checkpoints and row charges :func:`guarded_iter` would make over
+    those rows, and the trailing charge after the last one, so an
+    operator that works a chunk at a time is governed exactly like a
+    per-row loop: the same total charge, tripping at the same count.
+    Pass-through when ungoverned."""
+    ctx = current()
+    for start in range(0, size, chunk):
+        stop = min(start + chunk, size)
+        if ctx is not None:
+            for count in range(start, stop, CHECK_STRIDE):
+                ctx.check()
+                if count:
+                    ctx.charge_rows(CHECK_STRIDE)
+        yield start, stop
+    if ctx is not None and size:
+        ctx.charge_rows(size - (size - 1) // CHECK_STRIDE * CHECK_STRIDE)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ arrays; JSON columns hold their values in *serialized* form (see
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from ..types import NUMPY_DTYPES, SqlType, coerce
 __all__ = ["Column"]
 
 _NUMERIC = (SqlType.INT, SqlType.FLOAT, SqlType.BOOL)
+
+#: ``Column._dictionary`` before :meth:`Column.dictionary` has run.
+_UNKNOWN = object()
 
 
 class Column:
@@ -39,7 +42,7 @@ class Column:
         values were already produced in canonical form).
     """
 
-    __slots__ = ("name", "sql_type", "_data", "_null")
+    __slots__ = ("name", "sql_type", "_data", "_null", "_dictionary")
 
     def __init__(
         self,
@@ -69,6 +72,7 @@ class Column:
         else:
             self._data = np.array(values, dtype=object)
             self._null = None  # nulls are represented by None entries
+        self._dictionary = _UNKNOWN
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -94,6 +98,7 @@ class Column:
         else:
             col._data = np.asarray(data, dtype=object)
             col._null = None
+        col._dictionary = _UNKNOWN
         return col
 
     @classmethod
@@ -108,6 +113,54 @@ class Column:
         col.sql_type = self.sql_type
         col._data = self._data
         col._null = self._null
+        col._dictionary = getattr(self, "_dictionary", _UNKNOWN)
+        return col
+
+    def dictionary(
+        self, compute: bool = True
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(codes, values)`` of a TEXT/JSON column: ``values`` holds its
+        distinct values (NULL included) in first-seen order and
+        ``codes[i]`` indexes row ``i``'s value; both are read-only.
+
+        Computed once per column and cached (``compute=False`` only
+        reads the cache).  None, also cached, for numeric columns and
+        when the dictionary would hold more than half the rows.  Only
+        :meth:`renamed` shares it: every other derived column starts
+        without one, so a dictionary never holds a value its rows lack.
+        """
+        found = getattr(self, "_dictionary", _UNKNOWN)
+        if found is _UNKNOWN:
+            if not compute:
+                return None
+            found = None
+            if self.sql_type not in _NUMERIC:
+                from ..engine.keys import encode_objects
+
+                try:
+                    encoded = encode_objects(
+                        self._data, limit=len(self._data) // 2
+                    )
+                except TypeError:  # unhashable JSON values (lists, dicts)
+                    encoded = None
+                if encoded is not None:
+                    codes, first_rows = encoded
+                    found = _frozen(codes, self._data[first_rows])
+            self._dictionary = found
+        return found
+
+    @classmethod
+    def from_dictionary(
+        cls, name: str, sql_type: SqlType, codes: np.ndarray, values: np.ndarray
+    ) -> "Column":
+        """The TEXT/JSON column ``values[codes]``, its dictionary cached.
+        ``values`` must be distinct and each must occur in ``codes``."""
+        col = cls.from_numpy(name, sql_type, values[codes])
+        # The values are exactly the distinct ones: the half-rows verdict
+        # needs no pass.
+        col._dictionary = (
+            _frozen(codes, values) if 2 * len(values) <= len(codes) else None
+        )
         return col
 
     # ------------------------------------------------------------------
@@ -187,6 +240,7 @@ class Column:
         col.sql_type = self.sql_type
         col._data = self._data[idx]
         col._null = None if self._null is None else self._null[idx]
+        col._dictionary = _UNKNOWN
         return col
 
     def filter(self, mask: np.ndarray) -> "Column":
@@ -197,6 +251,7 @@ class Column:
         col.sql_type = self.sql_type
         col._data = self._data[mask]
         col._null = None if self._null is None else self._null[mask]
+        col._dictionary = _UNKNOWN
         return col
 
     def slice(self, start: int, stop: int) -> "Column":
@@ -206,6 +261,7 @@ class Column:
         col.sql_type = self.sql_type
         col._data = self._data[start:stop]
         col._null = None if self._null is None else self._null[start:stop]
+        col._dictionary = _UNKNOWN
         return col
 
     def scatter(self, positions: np.ndarray, values: "Column") -> "Column":
@@ -236,6 +292,7 @@ class Column:
             out._null = np.concatenate([c.null_mask() for c in columns])
         else:
             out._null = None
+        out._dictionary = _UNKNOWN
         return out
 
     # ------------------------------------------------------------------
@@ -258,3 +315,10 @@ class Column:
         preview = ", ".join(repr(v) for v in self.to_list()[:4])
         suffix = ", ..." if len(self) > 4 else ""
         return f"Column({self.name!r}, {self.sql_type}, [{preview}{suffix}])"
+
+
+def _frozen(codes: np.ndarray, values: np.ndarray):
+    """A dictionary whose arrays refuse writes: operators share them."""
+    codes.flags.writeable = False
+    values.flags.writeable = False
+    return codes, values

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import time
+import weakref
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import (
@@ -490,15 +491,26 @@ class UdfRegistry:
         if new_version != old_version:
             self._versions[key] = new_version
             for listener in self._version_listeners:
-                listener(key, new_version)
+                callback = _live(listener)
+                if callback is not None:
+                    callback(key, new_version)
 
     def version_of(self, name: str) -> int:
         """The current definition version (0 for never-registered names)."""
         return self._versions.get(name.lower(), 0)
 
     def add_version_listener(self, callback: Callable[[str, int], None]) -> None:
-        """Subscribe to version bumps: ``callback(name, new_version)``."""
-        self._version_listeners.append(callback)
+        """Subscribe to version bumps: ``callback(name, new_version)``.
+
+        A bound method is held weakly: its owner (a QFusor's cache
+        manager, which holds the adapter) would otherwise close a
+        reference cycle through this registry, and a dropped adapter
+        and its tables would wait for the cycle collector."""
+        if hasattr(callback, "__self__"):
+            callback = weakref.WeakMethod(callback)
+        self._version_listeners = [
+            cb for cb in self._version_listeners if _live(cb) is not None
+        ] + [callback]
 
     def remove_version_listener(
         self, callback: Callable[[str, int], None]
@@ -508,7 +520,7 @@ class UdfRegistry:
         Copy-on-write, so a version bump iterating the list on another
         thread finishes over the list it started with."""
         self._version_listeners = [
-            cb for cb in self._version_listeners if cb != callback
+            cb for cb in self._version_listeners if _live(cb) != callback
         ]
 
     def fingerprint_of(self, name: str) -> Optional[str]:
@@ -591,3 +603,10 @@ def _generic_create_function(definition: UdfDefinition) -> str:
         f"CREATE FUNCTION {definition.name}({args}) RETURNS {returns} "
         f"LANGUAGE C AS 'qfusor_wrapper_{definition.name}'"
     )
+
+
+def _live(listener: Any) -> Optional[Callable[[str, int], None]]:
+    """A version listener, or None once a weakly held one has died."""
+    if isinstance(listener, weakref.WeakMethod):
+        return listener()
+    return listener

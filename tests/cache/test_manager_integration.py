@@ -6,6 +6,8 @@ version invalidation on UDF re-registration, conservative ineligibility
 for unannotated UDFs, and no population for degraded runs.
 """
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -223,6 +225,23 @@ class TestLifecycle:
         assert adapter.registry.memo is second.caches.memo
         second.close()
         assert adapter.registry.memo is None
+
+    def test_dropped_adapter_is_freed_without_the_cycle_collector(self):
+        # The cache manager's version listener must not tie the adapter
+        # (and every table it holds) into a reference cycle.
+        adapter = MiniDbAdapter()
+        adapter.register_table(_table())
+        adapter.register_udf(cache_double)
+        qf = QFusor(adapter, QFusorConfig.cached(cost_based=False))
+        qf.execute("SELECT cache_double(b) AS d FROM ct")
+        alive = weakref.ref(adapter)
+        gc.disable()
+        try:
+            adapter.close()
+            del adapter, qf
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_uncached_client_subscribes_nothing(self):
         adapter = MiniDbAdapter()

@@ -172,6 +172,13 @@ _INT_UDFS = ("d_add7", "d_mul3", "d_neg", "d_clip10")
 _TXT_UDFS = ("d_lower", "d_rev", "d_first")
 _WORDS = ("alpha", "Beta", "GAMMA", "delta", "zig", "Zag", "mu")
 _GROUPS = ("a", "b", "c", "d")
+#: Strict TEXT builtins over low-cardinality text: GROUP BY / DISTINCT
+#: keys the vector executor evaluates once per dictionary value.
+_DICT_KEYS = (
+    "upper(grp)", "substr(grp, 1, 1)", "length(grp)", "trim(grp)",
+    "replace(grp, 'a', 'x')", "upper(substr(txt, 1, 1))",
+    "substr(txt, 1, 2)",
+)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +360,12 @@ def _scalar_query(rng: random.Random) -> QuerySpec:
 
 
 def _distinct_query(rng: random.Random) -> QuerySpec:
-    items = _alias(_scalar_item(rng) for _ in range(rng.randint(1, 2)))
+    if rng.random() < 0.4:
+        items = _alias([rng.choice(_DICT_KEYS)] + (
+            [_scalar_item(rng)] if rng.random() < 0.3 else []
+        ))
+    else:
+        items = _alias(_scalar_item(rng) for _ in range(rng.randint(1, 2)))
     where = _predicate(rng, 1) if rng.random() < 0.5 else None
     return QuerySpec("scalar", items, where=where, distinct=True)
 
@@ -389,6 +401,12 @@ def _group_query(rng: random.Random) -> QuerySpec:
     where = _predicate(rng, 1) if rng.random() < 0.5 else None
     if rng.random() < 0.45:
         aggs = _shared_call_aggs(rng) + aggs
+    if rng.random() < 0.3:
+        key = rng.choice(_DICT_KEYS)
+        return QuerySpec(
+            "group", (f"{key} AS k",) + _alias(aggs), where=where,
+            group_by=("k",),
+        )
     return QuerySpec(
         "group", ("grp",) + _alias(aggs), where=where, group_by=("grp",)
     )

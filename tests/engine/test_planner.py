@@ -1,5 +1,7 @@
 """Unit tests for the planner (AST -> logical plan)."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine.plan import (
@@ -7,7 +9,9 @@ from repro.engine.plan import (
     TableFunctionScan, walk_plan,
 )
 from repro.errors import PlanError
+from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse
+from repro.udf import table_udf
 
 
 def plan_of(db, sql):
@@ -120,3 +124,49 @@ class TestSetOps:
     def test_arity_mismatch(self, db):
         with pytest.raises(PlanError):
             plan_of(db, "SELECT id, name FROM people UNION SELECT id FROM people")
+
+
+@table_udf(output=("n",), types=(int,))
+def t_steps(inp_datagen, start: int, step: int):
+    for k in range(3):
+        yield (start + k * step,)
+
+
+def scan_of(planned):
+    return next(
+        n for n in walk_plan(planned.root) if isinstance(n, TableFunctionScan)
+    )
+
+
+class TestTableFunctionArguments:
+    """A table UDF in FROM takes literal arguments (plus one subquery)."""
+
+    @pytest.fixture
+    def steps_db(self, db):
+        db.register_udf(t_steps)
+        return db
+
+    def test_literal_arguments_reach_the_udf(self, steps_db):
+        planned = plan_of(steps_db, "SELECT n FROM t_steps(1, -3) AS g")
+        assert tuple(scan_of(planned).const_args) == (1, -3)
+        out = steps_db.execute("SELECT n FROM t_steps(1, -3) AS g")
+        assert out.to_rows() == [(1,), (-2,), (-5,)]
+
+    def test_negated_literal_node(self, steps_db):
+        # The parser folds "-3" into Literal(-3); an AST built elsewhere
+        # may carry the negation as a node.
+        statement = parse("SELECT n FROM t_steps(2, 3) AS g")
+        ref = statement.from_items[0]
+        negated = ast.UnaryOp("-", ast.Literal(3))
+        call = dataclasses.replace(ref.call, args=(ast.Literal(2), negated))
+        statement = dataclasses.replace(
+            statement, from_items=(dataclasses.replace(ref, call=call),)
+        )
+        planned = steps_db.planner.plan_select(statement)
+        assert tuple(scan_of(planned).const_args) == (2, -3)
+
+    def test_non_literal_argument_rejected(self, steps_db):
+        with pytest.raises(PlanError, match="must be literals"):
+            plan_of(steps_db, "SELECT n FROM t_steps(1, id) AS g")
+        with pytest.raises(PlanError, match="must be literals"):
+            plan_of(steps_db, "SELECT n FROM t_steps(1, 2 + 3) AS g")
