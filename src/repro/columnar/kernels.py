@@ -43,12 +43,12 @@ __all__ = ["eligible", "scalar_batch", "aggregate_eligible", "aggregate_batch"]
 def eligible(definition: UdfDefinition) -> bool:
     """Can this UDF's batches run on the kernel path?
 
-    Fused UDFs with a JIT batch wrapper already execute batch-at-a-time;
+    A fused trace runs its own batch entry, compiled with the trace;
     armed fault injection needs the classic path's per-row fire points.
     """
     return (
         definition.kind is UdfKind.SCALAR
-        and definition.scalar_batch_func is None
+        and "scalar" not in definition.entries
         and not _FAULTS.armed
     )
 

@@ -165,18 +165,11 @@ class VectorExecutor:
             # retry a transient fault away (or fire it at a different
             # row).  Fault semantics require the whole-column path.
             return False
-        calls_udf = False
         for name in calls:
             registered = self.resolver.udf(name)
-            if registered is None:
-                continue
-            calls_udf = calls_udf or registered.kind is UdfKind.SCALAR
-            batch = registered.definition.scalar_batch_func
-            # Fused batch traces are sharded only when codegen stamped
-            # them row-wise pure.
-            if batch is not None and not getattr(batch, "morsel_safe", False):
-                return False
-        return calls_udf or not udf_only
+            if registered is not None and registered.kind is UdfKind.SCALAR:
+                return True
+        return not udf_only
 
     def _map_rows(self, columns: List[Column], size: int, stage: str, fn,
                   calls: Iterable[str], udf_only: bool = False) -> List[Any]:
@@ -515,9 +508,11 @@ class VectorExecutor:
             left_keep = keep < left_size
             found = in_right[left_keep]
             keep = keep[left_keep][found if node.op == "INTERSECT" else ~found]
+        # The output is typed by the left input: a right value it cannot
+        # hold (1.5 in an INT column) raises, as on the tuple executor.
         columns = [
             col.take(keep).renamed(f.name) if col.sql_type is f.sql_type
-            else Column(f.name, f.sql_type, col.take(keep).to_list(), validate=False)
+            else Column(f.name, f.sql_type, col.take(keep).to_list())
             for col, f in zip(joint, node.schema)
         ]
         return columns, len(keep)

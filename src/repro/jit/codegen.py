@@ -1,11 +1,22 @@
-"""Fused-UDF code generation — the paper's loop-fusion templates TF1-TF8.
+"""The one emitter of UDF batch loops: fused pipelines and wrappers.
 
 A fused pipeline is described by a :class:`PipelineSpec`: named inputs,
 a sequence of stages wired through variable names, and the output
 variables.  :func:`generate_fused_udf` compiles the spec into a *new UDF
 that itself follows the design specifications of section 4.2*, so the
-ordinary registration mechanism (wrapper generation, CREATE FUNCTION)
-applies to fused UDFs unchanged — exactly the paper's architecture.
+ordinary registration mechanism (CREATE FUNCTION, the registry) applies
+to fused UDFs unchanged — exactly the paper's architecture.
+
+Section 4.1 says the mechanism that generates a registered UDF's wrapper
+is the one that generates the loop-fused functions.  Here it is: a
+registered UDF's wrapper (:func:`generate_wrapper`) is the one-stage
+pipeline whose stage *calls* the UDF, emitted by the same batch-loop
+emitters as a fused trace.  There is one emitter per entry kind —
+scalar batch, aggregate batch, relation-mode table and expand-mode
+table — and each owns the loop skeleton: the ``_gov_check()``
+checkpoint every 256 rows, the ``fire_row`` fault hook, row-error
+capture through :mod:`repro.resilience.runtime`, and the single-row
+replay the ``reinterpret`` policy runs.
 
 The fused UDF's type follows Table 2:
 
@@ -31,21 +42,23 @@ never changes results.
 
 from __future__ import annotations
 
+import contextlib
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..errors import JitError
+from ..errors import JitError, UdfExecutionError
 from ..types import SqlType
+from ..udf import boundary
 from ..udf.definition import UdfDefinition, UdfKind
 from ..udf.signature import UdfSignature
-from ..udf.wrappers import SourceBuilder
+from ..udf.wrappers import GeneratedWrapper
 from .inliner import try_inline
 
 __all__ = [
     "ScalarUdfStage", "ExprStage", "FilterStage", "TableUdfStage",
     "AggregateStage", "DistinctStage", "PipelineSpec", "FusedUdf",
-    "generate_fused_udf",
+    "generate_fused_udf", "generate_wrapper", "SourceBuilder",
 ]
 
 
@@ -58,6 +71,36 @@ def _record_fused_batch(name: str, size: int) -> None:
     ).observe(size)
 
 
+class SourceBuilder:
+    """Tiny helper for emitting correctly indented Python source."""
+
+    INDENT = "    "
+
+    def __init__(self):
+        self._lines: List[str] = []
+        self._depth = 0
+
+    def line(self, text: str = "") -> None:
+        self._lines.append(self.INDENT * self._depth + text if text else "")
+
+    def indent(self) -> None:
+        self._depth += 1
+
+    def dedent(self) -> None:
+        self._depth -= 1
+
+    @contextlib.contextmanager
+    def block(self, header: str) -> Iterator["SourceBuilder"]:
+        """Emit ``header`` and indent the body under it."""
+        self.line(header)
+        self.indent()
+        yield self
+        self.dedent()
+
+    def source(self) -> str:
+        return "\n".join(self._lines) + "\n"
+
+
 # ----------------------------------------------------------------------
 # Stage model
 # ----------------------------------------------------------------------
@@ -65,11 +108,16 @@ def _record_fused_batch(name: str, size: int) -> None:
 
 @dataclass(frozen=True)
 class ScalarUdfStage:
-    """Apply a scalar UDF: ``out = udf(*args)`` (strict in NULLs)."""
+    """Apply a scalar UDF: ``out = udf(*args)``.
+
+    When ``strict`` (default), any NULL argument yields NULL without a
+    call.  A wrapper's stage is not: the wrapper skips the NULL rows of a
+    strict UDF before its fault hook, and calls a non-strict one."""
 
     udf: UdfDefinition
     args: Tuple[str, ...]
     out: str
+    strict: bool = True
 
 
 @dataclass(frozen=True)
@@ -104,11 +152,16 @@ class FilterStage:
 @dataclass(frozen=True)
 class TableUdfStage:
     """Apply a table UDF: consumes the stream of ``args`` tuples, emits
-    ``outs`` tuples (zero or more per input row)."""
+    ``outs`` tuples (zero or more per input row).
+
+    A wrapper's stage has ``args`` and ``const_args`` of ``None``: its
+    input is the decoded row of whatever columns the call passes (the
+    input relation's arity is only known at call time, section 4.2.3)
+    and its constants are the call's ``const_args``."""
 
     udf: UdfDefinition
-    args: Tuple[str, ...]
-    const_args: Tuple[Any, ...]
+    args: Optional[Tuple[str, ...]]
+    const_args: Optional[Tuple[Any, ...]]
     outs: Tuple[str, ...]
 
 
@@ -163,7 +216,7 @@ class PipelineSpec:
     def _validate(self) -> None:
         defined = {name for name, _ in self.inputs}
         for stage in self.stages:
-            for arg in getattr(stage, "args", ()):
+            for arg in getattr(stage, "args", None) or ():
                 if arg not in defined:
                     raise JitError(
                         f"pipeline {self.name!r}: stage argument {arg!r} "
@@ -276,25 +329,14 @@ def generate_fused_udf(spec: PipelineSpec) -> FusedUdf:
     else:
         source, entry_name = generator.table_source()
 
-    namespace = dict(generator.namespace)
-    code = compile(source, f"<fused:{spec.name}>", "exec")
-    exec(code, namespace)
-    func = namespace[entry_name]
-    expand_batch_func = namespace.get(f"{entry_name}__expand_batch")
-    scalar_batch_func = namespace.get(f"{entry_name}__scalar_batch")
-    if scalar_batch_func is not None:
-        # Fused scalar traces are row-wise pure (each output row depends
-        # only on its input row), so the morsel executor may shard their
-        # batches freely.
-        scalar_batch_func.morsel_safe = True
-
+    namespace = _exec(source, f"<fused:{spec.name}>", generator.namespace)
     arg_names = tuple(name for name, _ in spec.inputs)
     arg_types = tuple(sql_type for _, sql_type in spec.inputs)
     signature = UdfSignature(arg_names, arg_types, tuple(spec.output_types))
     definition = UdfDefinition(
         name=spec.name,
         kind=kind,
-        func=func,
+        func=namespace[entry_name],
         signature=signature,
         out_columns=tuple(spec.output_names),
         # Fused bodies implement exact per-stage NULL semantics, so the
@@ -302,13 +344,62 @@ def generate_fused_udf(spec: PipelineSpec) -> FusedUdf:
         # may map NULL to its ELSE value).
         strict=False,
         fused_from=tuple(_fused_from(spec)),
-        expand_batch_func=expand_batch_func,
-        scalar_batch_func=scalar_batch_func,
+        entries={
+            call: namespace[name] for call, name in generator.entries.items()
+        },
     )
     elapsed = time.perf_counter() - start
     return FusedUdf(
         definition, source, elapsed, generator.inlined, generator.called
     )
+
+
+def generate_wrapper(udf: UdfDefinition) -> GeneratedWrapper:
+    """Generate and compile ``udf``'s wrapper: the one-stage pipeline
+    whose stage calls the UDF (never inlined), with the UDF's own NULL
+    rule and fault context."""
+    name = f"wrapper_{udf.name}"
+    args = tuple(f"v{i}" for i in range(udf.arity))
+    inputs = tuple(zip(args, udf.signature.arg_types))
+    outs: Tuple[str, ...] = ("r",)
+    if udf.kind is UdfKind.SCALAR:
+        stage: Stage = ScalarUdfStage(udf, args, "r", strict=False)
+    elif udf.kind is UdfKind.AGGREGATE:
+        stage = AggregateStage(args, "r", udf=udf)
+    else:
+        inputs = ()
+        outs = tuple(f"r{i}" for i in range(len(udf.signature.return_types)))
+        stage = TableUdfStage(udf, None, None, outs)
+    generator = _Generator(
+        PipelineSpec(udf.name, inputs, (stage,), outs,
+                     tuple(udf.signature.return_types)),
+        wraps=udf,
+    )
+    builder = SourceBuilder()
+    if udf.kind is UdfKind.SCALAR:
+        generator.emit_scalar_batch(builder, name, name)
+    elif udf.kind is UdfKind.AGGREGATE:
+        generator.emit_aggregate_batch(builder, name)
+    else:
+        generator.emit_relation(builder, name)
+        builder.line()
+        generator.emit_expand_batch(builder, f"{name}_expand", name)
+    source = builder.source()
+    namespace = _exec(source, f"<wrapper:{name}>", generator.namespace)
+    return GeneratedWrapper(
+        udf, source, namespace[name], namespace.get(f"{name}_expand")
+    )
+
+
+def _tuple(items: Sequence[str]) -> str:
+    """Python source of a tuple display of ``items``."""
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+def _exec(source: str, filename: str, bindings: Dict[str, Any]) -> Dict[str, Any]:
+    namespace = dict(bindings)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
 
 
 def _fused_from(spec: PipelineSpec) -> List[str]:
@@ -327,40 +418,72 @@ def _fused_from(spec: PipelineSpec) -> List[str]:
     return names
 
 
-class _Generator:
-    """Emits the fused source for one pipeline."""
+#: The cooperative cancellation checkpoint, every 256 rows.
+_CHECKPOINT = "if not (_idx & 255): _gov_check()"
 
-    def __init__(self, spec: PipelineSpec):
+#: One input row of a wrapper's table stage, decoded from whatever
+#: columns the call passes.
+_ROW = (
+    "tuple(c_to_python(c_inputs[_j][_idx], in_types[_j]) for _j in range(_n))"
+)
+
+
+class _Generator:
+    """Emits the source of one pipeline: a fused trace, or the one-stage
+    wrapper of the registered UDF ``wraps``."""
+
+    def __init__(self, spec: PipelineSpec,
+                 wraps: Optional[UdfDefinition] = None):
         from ..obs import OBS as _obs_state
         from ..resilience import governor as _governor
         from ..resilience import runtime as _resilience
 
         self.spec = spec
-        self.namespace: Dict[str, Any] = {"BUILTIN_AGG_STATES": None}
+        self.wraps = wraps
+        #: The fault context rows fire in: only a user UDF's own wrapper
+        #: runs interpreted.
+        self.ctx = (
+            "interp" if wraps is not None and not wraps.is_fused else "fused"
+        )
+        #: A wrapped table UDF takes rows of any arity and the call's
+        #: constants (see :class:`TableUdfStage`).
+        self.variadic = any(
+            isinstance(s, TableUdfStage) and s.args is None
+            for s in spec.stages
+        )
+        #: Call kind -> name of a batch entry compiled with a fused trace.
+        self.entries: Dict[str, str] = {}
         self.inlined = 0
         self.called = 0
-        self._bind_builtin_aggregates()
-        # Resilience runtime: row-level exception policies and the
-        # fault-injection hook checked inside generated batch loops.
-        udf_names = tuple(
-            s.udf.name
-            for s in spec.stages
-            if isinstance(s, (ScalarUdfStage, TableUdfStage, AggregateStage))
-            and getattr(s, "udf", None) is not None
-        )
-        self.namespace.update(
+        names = [spec.name]
+        for stage in spec.stages:
+            udf = getattr(stage, "udf", None)
+            if udf is not None:
+                names += [udf.name, *udf.fused_from]
+        self.namespace: Dict[str, Any] = dict(
+            c_to_python=boundary.c_to_python,
+            python_to_c=boundary.python_to_c,
+            UdfExecutionError=UdfExecutionError,
+            _IN_TYPES=tuple(t for _, t in spec.inputs),
+            _OUT_TYPE=spec.output_types[0],
+            _OUT_TYPES=tuple(spec.output_types),
+            # Resilience runtime: row-level exception policies and the
+            # fault-injection hook checked inside generated batch loops.
             _FAULTS=_resilience.FAULTS,
             _rt_policy=_resilience.policy,
             _rt_row_error=_resilience.handle_scalar_row_error,
             _rt_expand_row_error=_resilience.handle_expand_row_error,
+            # Governance: cooperative cancellation checkpoint (near-free
+            # when no governed context is active on this thread).
             _gov_check=_governor.checkpoint,
             _NAME=spec.name,
-            _NAMES=(spec.name,) + udf_names,
+            _NAMES=tuple(dict.fromkeys(names)),
             # Observability: one branch + at most one call per *batch*
             # (never per row) keeps the disabled path a single branch.
             _obs=_obs_state,
             _obs_batch=_record_fused_batch,
         )
+        self._bind_builtin_aggregates()
 
     def _bind_builtin_aggregates(self) -> None:
         from ..engine import functions as engine_functions
@@ -385,7 +508,8 @@ class _Generator:
         stage: ScalarUdfStage,
         force_call: bool = False,
     ) -> None:
-        inline = None if force_call else try_inline(stage.udf.func)
+        called = force_call or self.wraps is not None
+        inline = None if called else try_inline(stage.udf.func)
         if inline is not None:
             expression = inline.substitute(stage.args)
             self.inlined += 1
@@ -394,21 +518,37 @@ class _Generator:
             self.namespace[bound] = stage.udf.func
             expression = f"{bound}({', '.join(stage.args)})"
             self.called += 1
-        guard = self._null_guard(stage.args)
-        if guard:
-            builder.line(f"{stage.out} = None if ({guard}) else ({expression})")
-        else:
-            builder.line(f"{stage.out} = {expression}")
+        self._emit_assign(builder, stage, expression)
 
     def _emit_expr(self, builder: SourceBuilder, stage: ExprStage) -> None:
         self.inlined += 1
         for bound_name, value in stage.bindings:
             self.namespace[bound_name] = value
+        self._emit_assign(builder, stage, stage.src)
+
+    def _emit_assign(self, builder: SourceBuilder,
+                     stage: Union[ScalarUdfStage, ExprStage],
+                     expression: str) -> None:
+        """``out = expression``, NULL without evaluation on a NULL
+        argument when the stage is strict."""
         guard = self._null_guard(stage.args) if stage.strict else ""
         if guard:
-            builder.line(f"{stage.out} = None if ({guard}) else ({stage.src})")
-        else:
-            builder.line(f"{stage.out} = {stage.src}")
+            expression = f"None if ({guard}) else ({expression})"
+        builder.line(f"{stage.out} = {expression}")
+
+    def _emit_chain(self, builder: SourceBuilder, stages: Sequence[Stage],
+                    force_call: bool = False) -> None:
+        """Scalar stages, in order: a scalar pipeline, or what follows an
+        aggregate in an aggregate-kind pipeline (TF7)."""
+        for stage in stages:
+            if isinstance(stage, ScalarUdfStage):
+                self._emit_scalar(builder, stage, force_call=force_call)
+            elif isinstance(stage, ExprStage):
+                self._emit_expr(builder, stage)
+            else:
+                raise JitError(
+                    f"stage {type(stage).__name__} in a scalar chain"
+                )
 
     def _emit_filter_condition(self, stage: FilterStage) -> str:
         self.inlined += 1
@@ -418,6 +558,298 @@ class _Generator:
         if guard:
             return f"(False if ({guard}) else bool({stage.src}))"
         return f"bool({stage.src})"
+
+    # ------------------------------------------------------------------
+    # The batch-loop skeleton, shared by every entry kind
+    # ------------------------------------------------------------------
+
+    def _emit_metrics(self, builder: SourceBuilder) -> None:
+        """The fused-batch size histogram (fused traces only)."""
+        if self.wraps is None:
+            builder.line("if _obs.metrics: _obs_batch(_NAME, size)")
+
+    def _emit_fire_row(self, builder: SourceBuilder) -> None:
+        with builder.block("if _FAULTS.armed:"):
+            builder.line(
+                f"_FAULTS.injector.fire_row(_NAMES, _idx, {self.ctx!r})"
+            )
+
+    def _emit_null_skip(self, builder: SourceBuilder, joiner: str) -> None:
+        """A wrapped strict UDF skips NULL rows before its fault hook and
+        before any conversion: any NULL argument for a scalar (``or``),
+        all-NULL arguments for an aggregate (``and``)."""
+        if self.wraps is None or not self.wraps.skips_null_rows():
+            return
+        test = f" {joiner} ".join(
+            f"_c{i}[_idx] is None" for i in range(len(self.spec.inputs))
+        )
+        with builder.block(f"if {test}:"):
+            builder.line("continue")
+
+    def _emit_columns(self, builder: SourceBuilder) -> None:
+        for i in range(len(self.spec.inputs)):
+            builder.line(f"_c{i} = c_inputs[{i}]")
+
+    def _emit_decode(self, builder: SourceBuilder, column: str,
+                     sql_type: str) -> None:
+        """Convert the current row's inputs; ``column`` and ``sql_type``
+        are templates over the input position ``{i}``."""
+        if self.variadic:
+            builder.line(f"_row = {_ROW}")
+            return
+        for i, (name, _) in enumerate(self.spec.inputs):
+            builder.line(
+                f"{name} = c_to_python({column.format(i=i)}, "
+                f"{sql_type.format(i=i)})"
+            )
+
+    def _emit_raise_wrapped(self, builder: SourceBuilder, detail: str = "") -> None:
+        """Re-raise a failure as :class:`UdfExecutionError` (once)."""
+        with builder.block("except UdfExecutionError:"):
+            builder.line("raise")
+        with builder.block("except Exception as _exc:"):
+            builder.line(
+                f"raise UdfExecutionError(_NAME, _exc{detail}) from _exc"
+            )
+
+    # ------------------------------------------------------------------
+    # Entry kinds
+    # ------------------------------------------------------------------
+
+    def emit_scalar_batch(self, builder: SourceBuilder, entry: str,
+                          base: str) -> None:
+        """``entry(c_inputs, size) -> values`` and its replay
+        ``{base}__reinterp``.  Re-emitting a trace's stages for its batch
+        entries is not an extra trace, so the stage counters are kept."""
+        spec = self.spec
+        out = spec.outputs[0]
+        replay = f"{base}__reinterp"
+        counters = (self.inlined, self.called)
+        with builder.block(f"def {entry}(c_inputs, size):"):
+            builder.line(f'"""Scalar batch loop of {spec.name!r}."""')
+            self._emit_metrics(builder)
+            builder.line("result = [None] * size")
+            self._emit_columns(builder)
+            builder.line("_policy = _rt_policy()")
+            with builder.block("for _idx in range(size):"):
+                builder.line(_CHECKPOINT)
+                self._emit_null_skip(builder, "or")
+                with builder.block("try:"):
+                    self._emit_fire_row(builder)
+                    self._emit_decode(builder, "_c{i}[_idx]", "_IN_TYPES[{i}]")
+                    self._emit_chain(builder, spec.stages)
+                    builder.line(
+                        f"result[_idx] = python_to_c({out}, _OUT_TYPE)"
+                    )
+                with builder.block("except Exception as _exc:"):
+                    builder.line(
+                        f"result[_idx] = _rt_row_error(_NAME, _policy, _exc, "
+                        f"_idx, (lambda _i=_idx: {replay}(c_inputs, _i)))"
+                    )
+            builder.line("return result")
+        builder.line()
+        # Per-row replay through the *called* (not inlined) UDF chain —
+        # the interpreted fallback the reinterpret policy executes when
+        # one row raises.
+        with builder.block(f"def {replay}(c_inputs, _idx):"):
+            builder.line('"""Interpreted single-row replay (deopt path)."""')
+            self._emit_decode(builder, "c_inputs[{i}][_idx]", "_IN_TYPES[{i}]")
+            self._emit_chain(builder, spec.stages, force_call=True)
+            builder.line(f"return python_to_c({out}, _OUT_TYPE)")
+        self.inlined, self.called = counters
+
+    def emit_aggregate_batch(self, builder: SourceBuilder, entry: str) -> None:
+        """``entry(c_inputs, size, group_ids, num_groups) -> values``:
+        init-step-final over ``aggr_group_data`` for the wrapped class.
+
+        A failed ``step()`` leaves partial aggregate state that cannot be
+        reconciled, so row-level policies never apply and there is no
+        replay: the failure raises with its row, and recovery happens at
+        the query level through de-optimization."""
+        stage = self.spec.stages[0]
+        self.namespace["_agg"] = stage.udf.func
+        args = ", ".join(name for name, _ in self.spec.inputs)
+        with builder.block(
+            f"def {entry}(c_inputs, size, group_ids, num_groups):"
+        ):
+            builder.line(f'"""Aggregate batch loop of {self.spec.name!r}."""')
+            self._emit_columns(builder)
+            with builder.block("try:"):
+                builder.line("aggrs = [_agg() for _ in range(num_groups)]")
+            with builder.block("except Exception as _exc:"):
+                builder.line("raise UdfExecutionError(_NAME, _exc) from _exc")
+            with builder.block("for _idx in range(size):"):
+                builder.line(_CHECKPOINT)
+                self._emit_null_skip(builder, "and")
+                with builder.block("try:"):
+                    self._emit_fire_row(builder)
+                    self._emit_decode(builder, "_c{i}[_idx]", "_IN_TYPES[{i}]")
+                    builder.line(f"aggrs[group_ids[_idx]].step({args})")
+                self._emit_raise_wrapped(builder, ", row=_idx")
+            with builder.block("try:"):
+                builder.line(
+                    "return [python_to_c(a.final(), _OUT_TYPE) for a in aggrs]"
+                )
+            with builder.block("except Exception as _exc:"):
+                builder.line(
+                    "raise UdfExecutionError(_NAME, _exc, phase='final') "
+                    "from _exc"
+                )
+
+    def emit_relation(self, builder: SourceBuilder, entry: str) -> None:
+        """``entry(c_inputs, size, in_types, const_args) -> columns``: the
+        wrapped table UDF consumes the whole input relation through a
+        generator (FROM-clause usage).  A failure raises without a row:
+        the UDF owns the iteration, so no row can be replayed alone."""
+        stage = self.spec.stages[0]
+        bound = f"_t_{stage.udf.name}"
+        self.namespace[bound] = stage.udf.func
+        outs = [f"_o{i}" for i in range(len(self.spec.outputs))]
+        with builder.block("def _inp_datagen(c_inputs, size, in_types):"):
+            builder.line(
+                '"""Input generator: decodes one input row per iteration '
+                'without materializing the input (section 4.2.3)."""'
+            )
+            builder.line("_n = len(c_inputs)")
+            with builder.block("for _idx in range(size):"):
+                builder.line(_CHECKPOINT)
+                self._emit_fire_row(builder)
+                builder.line(f"yield {_ROW}")
+        builder.line()
+        with builder.block(
+            f"def {entry}(c_inputs, size, in_types, const_args):"
+        ):
+            builder.line(f'"""Relation-mode loop of {self.spec.name!r}."""')
+            for out in outs:
+                builder.line(f"{out} = []")
+            with builder.block("try:"):
+                with builder.block(
+                    f"for _r in {bound}(_inp_datagen(c_inputs, size, "
+                    f"in_types), *const_args):"
+                ):
+                    for i, out in enumerate(outs):
+                        builder.line(
+                            f"{out}.append(python_to_c(_r[{i}], "
+                            f"_OUT_TYPES[{i}]))"
+                        )
+            self._emit_raise_wrapped(builder)
+            builder.line(f"return [{', '.join(outs)}]")
+
+    def emit_expand_batch(self, builder: SourceBuilder, entry: str,
+                          base: str) -> None:
+        """``entry(c_inputs, size, in_types, const_args=()) -> (lineage,
+        columns)``, one input row at a time with several output rows per
+        row, and its replay ``{base}__reinterp_expand``.  A fused trace's
+        stages run with boundary conversions inlined and no per-row
+        generators (section 4.1's loop-fused wrapper)."""
+        spec = self.spec
+        replay = f"{base}__reinterp_expand"
+        consts = ", const_args" if self.variadic else ""
+        n_out = len(spec.outputs)
+        counters = (self.inlined, self.called)
+        # Row-level exception capture is unsound across a DistinctStage:
+        # its _seen set may already contain the failed row's key, so a
+        # replay could wrongly drop later rows.  Distinct pipelines keep
+        # batch-level semantics (a failure de-optimizes the whole query).
+        capture = not any(isinstance(s, DistinctStage) for s in spec.stages)
+        with builder.block(
+            f"def {entry}(c_inputs, size, in_types, const_args=()):"
+        ):
+            builder.line(f'"""Expand-mode batch loop of {spec.name!r}."""')
+            self._emit_metrics(builder)
+            builder.line("lineage = []")
+            for i in range(n_out):
+                builder.line(f"_o{i} = []")
+            if not capture:
+                builder.line("_seen = set()")
+            if self.variadic:
+                builder.line("_n = len(c_inputs)")
+            for i in range(len(spec.inputs)):
+                builder.line(f"_c{i} = c_inputs[{i}]")
+                builder.line(f"_t{i} = in_types[{i}]")
+
+            def _batch_tail(b: SourceBuilder) -> None:
+                b.line("lineage.append(_idx)")
+                for i, out in enumerate(spec.outputs):
+                    b.line(f"_o{i}.append(python_to_c({out}, _OUT_TYPES[{i}]))")
+
+            if capture:
+                builder.line("_policy = _rt_policy()")
+            else:
+                # Without row capture any failure fails the whole batch.
+                builder.line("try:")
+                builder.indent()
+            with builder.block("for _idx in range(size):"):
+                builder.line(_CHECKPOINT)
+                if capture:
+                    builder.line("try:")
+                    builder.indent()
+                    self._emit_fire_row(builder)
+                self._emit_decode(builder, "_c{i}[_idx]", "_t{i}")
+                self._emit_stream_stages(
+                    builder, list(spec.stages), early_exit="continue",
+                    seen="_seen", tail=_batch_tail,
+                )
+                if capture:
+                    builder.dedent()
+                    with builder.block("except Exception as _exc:"):
+                        # Roll back partial outputs of the failed row
+                        # (lineage is non-decreasing, so its tail holds
+                        # exactly this row's entries).
+                        with builder.block(
+                            "while lineage and lineage[-1] == _idx:"
+                        ):
+                            builder.line("lineage.pop()")
+                            for i in range(n_out):
+                                builder.line(f"_o{i}.pop()")
+                        builder.line(
+                            f"_rres = _rt_expand_row_error(_NAME, _policy, "
+                            f"_exc, _idx, (lambda _i=_idx: "
+                            f"{replay}(c_inputs, in_types, _i{consts})))"
+                        )
+                        with builder.block("if _rres is None:"):
+                            builder.line("lineage.append(_idx)")
+                            for i in range(n_out):
+                                builder.line(f"_o{i}.append(None)")
+                        with builder.block("else:"):
+                            with builder.block("for _row in _rres:"):
+                                builder.line("lineage.append(_idx)")
+                                for i in range(n_out):
+                                    builder.line(f"_o{i}.append(_row[{i}])")
+            if not capture:
+                builder.dedent()
+                self._emit_raise_wrapped(builder)
+            outs = ", ".join(f"_o{i}" for i in range(n_out))
+            builder.line(f"return lineage, [{outs}]")
+        if capture:
+            builder.line()
+            with builder.block(
+                f"def {replay}(c_inputs, in_types, _idx, const_args=()):"
+            ):
+                builder.line(
+                    '"""Interpreted single-row replay (deopt path): '
+                    'returns converted out-row tuples."""'
+                )
+                builder.line("_rows = []")
+                if self.variadic:
+                    builder.line("_n = len(c_inputs)")
+                self._emit_decode(
+                    builder, "c_inputs[{i}][_idx]", "in_types[{i}]"
+                )
+
+                def _reinterp_tail(b: SourceBuilder) -> None:
+                    row = _tuple([
+                        f"python_to_c({out}, _OUT_TYPES[{i}])"
+                        for i, out in enumerate(spec.outputs)
+                    ])
+                    b.line(f"_rows.append({row})")
+
+                self._emit_stream_stages(
+                    builder, list(spec.stages), early_exit="return _rows",
+                    seen="_seen", tail=_reinterp_tail, force_call=True,
+                )
+                builder.line("return _rows")
+        self.inlined, self.called = counters
 
     # ------------------------------------------------------------------
     # Scalar result (TF1)
@@ -433,83 +865,29 @@ class _Generator:
                 f'"""JIT-fused scalar UDF '
                 f'({" -> ".join(_fused_from(spec)) or "identity"})."""'
             )
-            for stage in spec.stages:
-                if isinstance(stage, ScalarUdfStage):
-                    self._emit_scalar(builder, stage)
-                elif isinstance(stage, ExprStage):
-                    self._emit_expr(builder, stage)
-                else:
-                    raise JitError(
-                        f"stage {type(stage).__name__} in scalar pipeline"
-                    )
+            self._emit_chain(builder, spec.stages)
             builder.line(f"return {spec.outputs[0]}")
         builder.line()
-        # The JIT-generated scalar wrapper: one batch loop with inline
-        # boundary conversions — no per-row Python call into the fused
-        # function (section 4.1's loop-fused wrapper generation).
-        from ..udf import boundary as _boundary
-
-        self.namespace["c_to_python"] = _boundary.c_to_python
-        self.namespace["python_to_c"] = _boundary.python_to_c
-        self.namespace["_IN_TYPES"] = tuple(t for _, t in spec.inputs)
-        self.namespace["_OUT_TYPE"] = spec.output_types[0]
-        counters = (self.inlined, self.called)  # batch re-emission is not
-        # an extra trace: restore counters afterwards.
-        with builder.block(f"def {entry}__scalar_batch(c_inputs, size):"):
-            builder.line('"""Fused scalar wrapper: inline conversions."""')
-            builder.line("if _obs.metrics: _obs_batch(_NAME, size)")
-            builder.line("result = [None] * size")
-            for i in range(len(spec.inputs)):
-                builder.line(f"_c{i} = c_inputs[{i}]")
-            builder.line("_policy = _rt_policy()")
-            with builder.block("for _idx in range(size):"):
-                builder.line("if not (_idx & 255): _gov_check()")
-                with builder.block("try:"):
-                    with builder.block("if _FAULTS.armed:"):
-                        builder.line(
-                            "_FAULTS.injector.fire_row(_NAMES, _idx, 'fused')"
-                        )
-                    for i, (name, _) in enumerate(spec.inputs):
-                        builder.line(
-                            f"{name} = c_to_python(_c{i}[_idx], _IN_TYPES[{i}])"
-                        )
-                    for stage in spec.stages:
-                        if isinstance(stage, ScalarUdfStage):
-                            self._emit_scalar(builder, stage)
-                        else:
-                            self._emit_expr(builder, stage)
-                    builder.line(
-                        f"result[_idx] = python_to_c({spec.outputs[0]}, _OUT_TYPE)"
-                    )
-                with builder.block("except Exception as _exc:"):
-                    builder.line(
-                        f"result[_idx] = _rt_row_error(_NAME, _policy, _exc, "
-                        f"_idx, (lambda _i=_idx: "
-                        f"{entry}__reinterp(c_inputs, _i)))"
-                    )
-            builder.line("return result")
-        builder.line()
-        # Per-row replay through the *called* (not inlined) UDF chain —
-        # the interpreted fallback the reinterpret policy executes when
-        # one fused row raises.
-        with builder.block(f"def {entry}__reinterp(c_inputs, _idx):"):
-            builder.line('"""Interpreted single-row replay (deopt path)."""')
-            for i, (name, _) in enumerate(spec.inputs):
-                builder.line(
-                    f"{name} = c_to_python(c_inputs[{i}][_idx], _IN_TYPES[{i}])"
-                )
-            for stage in spec.stages:
-                if isinstance(stage, ScalarUdfStage):
-                    self._emit_scalar(builder, stage, force_call=True)
-                else:
-                    self._emit_expr(builder, stage)
-            builder.line(f"return python_to_c({spec.outputs[0]}, _OUT_TYPE)")
-        self.inlined, self.called = counters
+        # The trace's own batch entry: one loop with inline boundary
+        # conversions, no per-row Python call into the fused function
+        # (section 4.1's loop-fused wrapper).
+        self.emit_scalar_batch(builder, f"{entry}__scalar_batch", entry)
+        self.entries["scalar"] = f"{entry}__scalar_batch"
         return builder.source(), entry
 
     # ------------------------------------------------------------------
     # Aggregate result (TF2, TF6, TF7)
     # ------------------------------------------------------------------
+
+    def _state_expr(self, stage: AggregateStage) -> str:
+        """Source that creates one aggregate state of ``stage``."""
+        if stage.udf is None:
+            return f"_aggstate_{stage.builtin}()"
+        self.namespace[f"_agg_{stage.udf.name}"] = stage.udf.func
+        return f"_agg_{stage.udf.name}()"
+
+    def _inputs(self) -> str:
+        return _tuple([name for name, _ in self.spec.inputs])
 
     def aggregate_source(self) -> Tuple[str, str]:
         spec = self.spec
@@ -524,12 +902,7 @@ class _Generator:
         pre = spec.stages[:agg_index]
         post = spec.stages[agg_index + 1:]
 
-        if agg_stage.udf is not None:
-            self.namespace[f"_agg_{agg_stage.udf.name}"] = agg_stage.udf.func
-            state_expr = f"_agg_{agg_stage.udf.name}()"
-        else:
-            state_expr = f"_aggstate_{agg_stage.builtin}()"
-
+        state_expr = self._state_expr(agg_stage)
         builder = SourceBuilder()
         entry = spec.name
         with builder.block(f"class {entry}:"):
@@ -559,16 +932,7 @@ class _Generator:
                 )
             with builder.block("def final(self):"):
                 builder.line(f"{agg_stage.out} = self._state.final()")
-                for stage in post:
-                    if isinstance(stage, ScalarUdfStage):
-                        self._emit_scalar(builder, stage)
-                    elif isinstance(stage, ExprStage):
-                        self._emit_expr(builder, stage)
-                    else:
-                        raise JitError(
-                            "only scalar stages may follow an aggregate "
-                            "in an aggregate-kind pipeline (TF7)"
-                        )
+                self._emit_chain(builder, post)
                 builder.line(f"return {spec.outputs[0]}")
         return builder.source(), entry
 
@@ -584,8 +948,6 @@ class _Generator:
         if agg_stages:
             return self._table_after_aggregate_source()
 
-        input_tuple = ", ".join(name for name, _ in spec.inputs)
-        trailing = "," if len(spec.inputs) == 1 else ""
         with builder.block(f"def {entry}(inp_datagen):"):
             builder.line(
                 f'"""JIT-fused table UDF '
@@ -593,140 +955,15 @@ class _Generator:
             )
             if any(isinstance(s, DistinctStage) for s in spec.stages):
                 builder.line("_seen = set()")
-            with builder.block(f"for ({input_tuple}{trailing}) in inp_datagen:"):
+            with builder.block(f"for {self._inputs()} in inp_datagen:"):
                 self._emit_stream_stages(
                     builder, list(spec.stages), early_exit="continue",
                     seen="_seen", yield_outputs=True,
                 )
         builder.line()
-        self._emit_expand_batch(builder, entry)
+        self.emit_expand_batch(builder, f"{entry}__expand_batch", entry)
+        self.entries["table_expand"] = f"{entry}__expand_batch"
         return builder.source(), entry
-
-    def _emit_expand_batch(self, builder: SourceBuilder, entry: str) -> None:
-        """The JIT-generated *wrapper* for expand-mode execution: one
-        batch loop with boundary conversions inlined (the paper's
-        section 4.1 — the registration mechanism generates loop-fused
-        wrapper functions, not just UDF bodies)."""
-        spec = self.spec
-        self.namespace.setdefault("c_to_python", None)
-        self.namespace.setdefault("python_to_c", None)
-        from ..udf import boundary as _boundary
-
-        self.namespace["c_to_python"] = _boundary.c_to_python
-        self.namespace["python_to_c"] = _boundary.python_to_c
-        self.namespace["_OUT_TYPES"] = tuple(spec.output_types)
-        counters = (self.inlined, self.called)
-        # Row-level exception capture is unsound across a DistinctStage:
-        # its _seen set may already contain the failed row's key, so a
-        # replay could wrongly drop later rows.  Distinct pipelines keep
-        # batch-level semantics (a failure de-optimizes the whole query).
-        capture = not any(isinstance(s, DistinctStage) for s in spec.stages)
-        with builder.block(
-            f"def {entry}__expand_batch(c_inputs, size, in_types):"
-        ):
-            builder.line(
-                '"""Fused expand wrapper: inline conversions, no '
-                'per-row generators."""'
-            )
-            builder.line("if _obs.metrics: _obs_batch(_NAME, size)")
-            builder.line("lineage = []")
-            for i in range(len(spec.outputs)):
-                builder.line(f"_o{i} = []")
-            if not capture:
-                builder.line("_seen = set()")
-            for i in range(len(spec.inputs)):
-                builder.line(f"_c{i} = c_inputs[{i}]")
-                builder.line(f"_t{i} = in_types[{i}]")
-
-            def _batch_tail(b: SourceBuilder) -> None:
-                b.line("lineage.append(_idx)")
-                for i, out in enumerate(spec.outputs):
-                    b.line(f"_o{i}.append(python_to_c({out}, _OUT_TYPES[{i}]))")
-
-            if capture:
-                builder.line("_policy = _rt_policy()")
-                with builder.block("for _idx in range(size):"):
-                    builder.line("if not (_idx & 255): _gov_check()")
-                    with builder.block("try:"):
-                        with builder.block("if _FAULTS.armed:"):
-                            builder.line(
-                                "_FAULTS.injector.fire_row(_NAMES, _idx, "
-                                "'fused')"
-                            )
-                        for i, (name, _) in enumerate(spec.inputs):
-                            builder.line(
-                                f"{name} = c_to_python(_c{i}[_idx], _t{i})"
-                            )
-                        self._emit_stream_stages(
-                            builder, list(spec.stages), early_exit="continue",
-                            seen="_seen", tail=_batch_tail,
-                        )
-                    with builder.block("except Exception as _exc:"):
-                        # Roll back partial outputs of the failed row
-                        # (lineage is non-decreasing, so its tail holds
-                        # exactly this row's entries).
-                        with builder.block(
-                            "while lineage and lineage[-1] == _idx:"
-                        ):
-                            builder.line("lineage.pop()")
-                            for i in range(len(spec.outputs)):
-                                builder.line(f"_o{i}.pop()")
-                        builder.line(
-                            f"_rres = _rt_expand_row_error(_NAME, _policy, "
-                            f"_exc, _idx, (lambda _i=_idx: "
-                            f"{entry}__reinterp_expand(c_inputs, in_types, "
-                            f"_i)))"
-                        )
-                        with builder.block("if _rres is None:"):
-                            builder.line("lineage.append(_idx)")
-                            for i in range(len(spec.outputs)):
-                                builder.line(f"_o{i}.append(None)")
-                        with builder.block("else:"):
-                            with builder.block("for _row in _rres:"):
-                                builder.line("lineage.append(_idx)")
-                                for i in range(len(spec.outputs)):
-                                    builder.line(f"_o{i}.append(_row[{i}])")
-            else:
-                with builder.block("for _idx in range(size):"):
-                    builder.line("if not (_idx & 255): _gov_check()")
-                    for i, (name, _) in enumerate(spec.inputs):
-                        builder.line(f"{name} = c_to_python(_c{i}[_idx], _t{i})")
-                    self._emit_stream_stages(
-                        builder, list(spec.stages), early_exit="continue",
-                        seen="_seen", tail=_batch_tail,
-                    )
-            outs = ", ".join(f"_o{i}" for i in range(len(spec.outputs)))
-            builder.line(f"return lineage, [{outs}]")
-        if capture:
-            builder.line()
-            with builder.block(
-                f"def {entry}__reinterp_expand(c_inputs, in_types, _idx):"
-            ):
-                builder.line(
-                    '"""Interpreted single-row replay (deopt path): '
-                    'returns converted out-row tuples."""'
-                )
-                builder.line("_rows = []")
-                for i, (name, _) in enumerate(spec.inputs):
-                    builder.line(
-                        f"{name} = c_to_python(c_inputs[{i}][_idx], "
-                        f"in_types[{i}])"
-                    )
-
-                def _reinterp_tail(b: SourceBuilder) -> None:
-                    parts = ", ".join(
-                        f"python_to_c({out}, _OUT_TYPES[{i}])"
-                        for i, out in enumerate(spec.outputs)
-                    )
-                    trailing = "," if len(spec.outputs) == 1 else ""
-                    b.line(f"_rows.append(({parts}{trailing}))")
-
-                self._emit_stream_stages(
-                    builder, list(spec.stages), early_exit="return _rows",
-                    seen="_seen", tail=_reinterp_tail, force_call=True,
-                )
-                builder.line("return _rows")
-        self.inlined, self.called = counters
 
     def _emit_stream_stages(
         self,
@@ -759,8 +996,7 @@ class _Generator:
                 with builder.block(f"if not {condition}:"):
                     builder.line(early_exit)
             elif isinstance(stage, DistinctStage):
-                key = ", ".join(stage.args)
-                builder.line(f"_key = ({key}{',' if len(stage.args) == 1 else ''})")
+                builder.line(f"_key = {_tuple(stage.args)}")
                 with builder.block(f"if _key in {seen}:"):
                     builder.line(early_exit)
                 builder.line(f"{seen}.add(_key)")
@@ -768,25 +1004,29 @@ class _Generator:
                 bound = f"_t_{stage.udf.name}"
                 self.namespace[bound] = stage.udf.func
                 self.called += 1
-                row = ", ".join(stage.args)
-                row_trailing = "," if len(stage.args) == 1 else ""
-                consts = "".join(f", {c!r}" for c in stage.const_args)
-                outs = ", ".join(stage.outs)
-                outs_trailing = "," if len(stage.outs) == 1 else ""
-                builder.line(
-                    f"_gen = {bound}(iter([({row}{row_trailing})]){consts})"
-                )
-                builder.line(f"for ({outs}{outs_trailing}) in _gen:")
-                builder.indent()
+                if stage.args is None:
+                    # A wrapper's stage: the decoded row, the call's
+                    # constants, output columns by position.
+                    builder.line(
+                        f"for _r in {bound}(iter([_row]), *const_args):"
+                    )
+                    builder.indent()
+                    for i, out in enumerate(stage.outs):
+                        builder.line(f"{out} = _r[{i}]")
+                else:
+                    consts = "".join(f", {c!r}" for c in stage.const_args)
+                    builder.line(
+                        f"_gen = {bound}(iter([{_tuple(stage.args)}]){consts})"
+                    )
+                    builder.line(f"for {_tuple(stage.outs)} in _gen:")
+                    builder.indent()
                 depth_opened += 1
                 # early exits inside a table loop skip that row only
                 early_exit = "continue"
             elif isinstance(stage, AggregateStage):
                 raise JitError("aggregate stage in stream context")
         if yield_outputs:
-            out = ", ".join(spec.outputs)
-            trailing = "," if len(spec.outputs) == 1 else ""
-            builder.line(f"yield ({out}{trailing})")
+            builder.line(f"yield {_tuple(spec.outputs)}")
         if tail is not None:
             tail(builder)
         for _ in range(depth_opened):
@@ -806,12 +1046,7 @@ class _Generator:
         if not any(isinstance(s, TableUdfStage) for s in post):
             raise JitError("TF8 pipelines need a table stage after the aggregate")
 
-        if agg_stage.udf is not None:
-            self.namespace[f"_agg_{agg_stage.udf.name}"] = agg_stage.udf.func
-            state_expr = f"_agg_{agg_stage.udf.name}()"
-        else:
-            state_expr = f"_aggstate_{agg_stage.builtin}()"
-
+        state_expr = self._state_expr(agg_stage)
         builder = SourceBuilder()
         entry = spec.name
         with builder.block(f"def {entry}(inp_datagen):"):
@@ -822,8 +1057,6 @@ class _Generator:
             builder.line(f"_state = {state_expr}")
             if any(isinstance(s, DistinctStage) for s in pre):
                 builder.line("_seen = set()")
-            input_tuple = ", ".join(name for name, _ in spec.inputs)
-            trailing = "," if len(spec.inputs) == 1 else ""
             def _agg_tail(b: SourceBuilder) -> None:
                 guard = self._null_guard(agg_stage.args)
                 if guard:
@@ -831,7 +1064,7 @@ class _Generator:
                         b.line("continue")
                 b.line(f"_state.step({', '.join(agg_stage.args)})")
 
-            with builder.block(f"for ({input_tuple}{trailing}) in inp_datagen:"):
+            with builder.block(f"for {self._inputs()} in inp_datagen:"):
                 self._emit_stream_stages(
                     builder, pre, early_exit="continue", seen="_seen",
                     tail=_agg_tail,

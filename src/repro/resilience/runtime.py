@@ -1,8 +1,8 @@
 """Resilience runtime: row-level policies, events, and fault hooks.
 
-The JIT-generated batch wrappers (:mod:`repro.jit.codegen`,
-:mod:`repro.udf.wrappers`) call into this module when a row of a fused
-batch raises.  What happens next depends on the active
+The batch loops that :mod:`repro.jit.codegen` generates — a fused
+trace's own entries and a registered UDF's wrapper alike — call into
+this module when a row raises.  What happens next depends on the active
 :class:`ResilienceContext`'s policy:
 
 ``raise``
@@ -28,7 +28,7 @@ raise and leave recovery to the query-level de-optimization guard in
 :class:`repro.core.qfusor.QFusor`.
 
 The module also hosts :data:`FAULTS`, the process-wide fault-injection
-hook.  Generated wrapper loops check ``FAULTS.armed`` (a single attribute
+hook.  Generated batch loops check ``FAULTS.armed`` (a single attribute
 load when disarmed) and forward to the armed
 :class:`~repro.testing.faults.FaultInjector` — the deterministic harness
 used by ``tests/resilience``.

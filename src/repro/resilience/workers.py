@@ -171,20 +171,10 @@ def _worker_execute(definition, wrapper, kind: str, args: tuple,
     from . import governor
 
     def dispatch() -> Any:
-        if kind == "scalar":
-            c_inputs, size = args
-            return wrapper.entry(c_inputs, size)
         if kind == "value":
             return definition.func(*args)
-        if kind == "aggregate":
-            c_inputs, size, group_ids, num_groups = args
-            return wrapper.entry(c_inputs, size, group_ids, num_groups)
-        if kind == "table":
-            c_inputs, size, in_types, const_args = args
-            return wrapper.entry(c_inputs, size, in_types, const_args)
-        if kind == "table_expand":
-            c_inputs, size, in_types, const_args = args
-            return wrapper.expand_entry(c_inputs, size, in_types, const_args)
+        if kind in ("scalar", "aggregate", "table", "table_expand"):
+            return wrapper.entry_for(kind)(*args)
         raise WorkerError(f"unknown worker call kind {kind!r}")
 
     if slack is None:

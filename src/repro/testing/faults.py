@@ -42,6 +42,7 @@ import dataclasses
 import random
 from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..errors import UdfExecutionError
 from ..resilience import runtime
 from ..udf.definition import UdfDefinition, UdfKind
 
@@ -405,11 +406,18 @@ def inject(injector: Optional[FaultInjector] = None):
 
 
 def _poison_definition(definition: UdfDefinition) -> UdfDefinition:
-    """A copy of ``definition`` whose every entry point raises."""
+    """A copy of ``definition`` whose every entry point raises.
+
+    A batch entry compiled with the trace fails the whole batch the way
+    a wrapper reports a failure outside any row."""
     name = definition.name
 
     def poisoned(*args, **kwargs):
         raise PoisonedTraceError(f"poisoned trace {name!r}")
+
+    def poisoned_batch(*args, **kwargs):
+        exc = PoisonedTraceError(f"poisoned trace {name!r}")
+        raise UdfExecutionError(name, exc) from exc
 
     if definition.kind is UdfKind.AGGREGATE:
         class PoisonedAggregate:
@@ -421,12 +429,9 @@ def _poison_definition(definition: UdfDefinition) -> UdfDefinition:
 
         return dataclasses.replace(definition, func=PoisonedAggregate)
 
-    replacements = {"func": poisoned}
-    if definition.scalar_batch_func is not None:
-        replacements["scalar_batch_func"] = poisoned
-    if definition.expand_batch_func is not None:
-        replacements["expand_batch_func"] = poisoned
-    return dataclasses.replace(definition, **replacements)
+    return dataclasses.replace(definition, func=poisoned, entries={
+        kind: poisoned_batch for kind in definition.entries
+    })
 
 
 def poison_traces(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .signature import UdfSignature
 
@@ -73,13 +73,10 @@ class UdfDefinition:
     #: behaviour, so memo/result caching gates on this stricter flag —
     #: unannotated UDFs are conservatively treated as impure for caching.
     deterministic_annotated: bool = False
-    #: For generated (fused) table UDFs: the fully JIT-generated expand
-    #: wrapper ``(c_inputs, size, in_types) -> (lineage, out_lists)``
-    #: with boundary conversions inlined into the fused loop.
-    expand_batch_func: Optional[Callable] = None
-    #: For generated (fused) scalar UDFs: the JIT-generated batch
-    #: wrapper ``(c_inputs, size) -> result_list``.
-    scalar_batch_func: Optional[Callable] = None
+    #: For fused traces: the batch entry points compiled with the trace,
+    #: by call kind (``"scalar"``, ``"table_expand"``).  The registry
+    #: calls these instead of building a wrapper for that kind.
+    entries: Dict[str, Callable] = field(default_factory=dict)
     cost_hint: Optional[float] = None
     fused_from: Tuple[str, ...] = ()
 

@@ -1,9 +1,10 @@
 """The UDF registry — the engine-facing half of the registration mechanism.
 
-Registering a UDF (a) builds its wrapper via :mod:`repro.udf.wrappers`,
-(b) stores the definition for name resolution during planning, and (c)
-produces the engine-specific ``CREATE FUNCTION`` statement through the
-dialect layer (section 5.5).  Invocation goes through the registry so that
+Registering a UDF (a) stores the definition for name resolution during
+planning, and (b) produces the engine-specific ``CREATE FUNCTION``
+statement through the dialect layer (section 5.5).  Its wrapper
+(:mod:`repro.udf.wrappers`) is built on the first batch call that needs
+one.  Invocation goes through the registry so that
 execution statistics are recorded into the stateful
 :class:`~repro.udf.state.StatsStore` (section 5.2.2).
 
@@ -44,13 +45,13 @@ class RegisteredUdf:
     """A UDF plus its compiled wrapper and the registry that owns it."""
 
     __slots__ = (
-        "definition", "wrapper", "_registry",
+        "definition", "_wrapper", "_registry",
         "_obs_calls", "_obs_latency", "_obs_rows",
     )
 
-    def __init__(self, definition: UdfDefinition, wrapper: GeneratedWrapper, registry):
+    def __init__(self, definition: UdfDefinition, registry):
         self.definition = definition
-        self.wrapper = wrapper
+        self._wrapper: Optional[GeneratedWrapper] = None
         self._registry = registry
         # Lazily-bound metric instruments (one dict lookup saved per call).
         self._obs_calls = None
@@ -64,6 +65,21 @@ class RegisteredUdf:
     @property
     def kind(self) -> UdfKind:
         return self.definition.kind
+
+    @property
+    def wrapper(self) -> GeneratedWrapper:
+        """The generated wrapper, built on first use.  Two threads may
+        both build it; the build is pure, so either result serves."""
+        wrapper = self._wrapper
+        if wrapper is None:
+            wrapper = self._wrapper = build_wrapper(self.definition)
+        return wrapper
+
+    def entry(self, kind: str) -> Callable[..., Any]:
+        """The batch entry point of call ``kind``: a fused trace's own
+        loop when it compiled one, else the wrapper's."""
+        entry = self.definition.entries.get(kind)
+        return entry if entry is not None else self.wrapper.entry_for(kind)
 
     @property
     def version(self) -> int:
@@ -89,26 +105,28 @@ class RegisteredUdf:
             return registry.columnar
         return None
 
-    def _invoke_batch(self, kind: str, entry: Callable[..., Any],
-                      inputs: Sequence[Column], size: int,
+    def _invoke_batch(self, kind: str, inputs: Sequence[Column], size: int,
                       *extra: Any) -> Tuple[Any, float]:
         """Take one batch across the UDF boundary; ``(c_result, seconds)``.
 
-        Columns become C buffers and ``entry`` (a wrapper entry point)
-        runs on them under governance.  With a process-isolation pool
+        Columns become C buffers and the entry point of ``kind`` runs on
+        them under governance.  With a process-isolation pool
         attached the batch executes in a real worker process (the pipe
         *is* the serialization boundary, and the pool enforces its own
         batch cap), so the modeled pickle channel is crossed only on the
         pool's in-process degrade path.  Without one, inputs and outputs
-        round-trip the channel, when the registry models one.
+        round-trip the channel, when the registry models one.  A wrapper
+        built for this call is built before the batch's clock and guard
+        start, so its compile time is never charged to the UDF.
         """
         raw = [boundary.column_to_c(col) for col in inputs]
 
         def in_process(c_inputs):
-            return self._cross(entry(c_inputs, size, *extra))
+            return self._cross(self.entry(kind)(c_inputs, size, *extra))
 
         pool = self._registry.workers
         if pool is None:
+            self.entry(kind)
             c_inputs = self._cross(raw)
             return self._guarded(lambda: in_process(c_inputs), size)
         return self._guarded(
@@ -218,9 +236,7 @@ class RegisteredUdf:
                     return column
                 # Kernel deopt: re-run the batch on the classic path below
                 # (row-error policies and exact error semantics live there).
-        c_result, elapsed = self._invoke_batch(
-            "scalar", self.wrapper.entry, inputs, size
-        )
+        c_result, elapsed = self._invoke_batch("scalar", inputs, size)
         self._registry.stats.observe(self.name, size, size, elapsed)
         column = boundary.c_values_to_column(
             self.name, self.definition.signature.return_types[0], c_result
@@ -310,8 +326,7 @@ class RegisteredUdf:
                     return values
                 # Kernel deopt: classic path below owns error semantics.
         c_result, elapsed = self._invoke_batch(
-            "aggregate", self.wrapper.entry, inputs, size,
-            group_ids, num_groups,
+            "aggregate", inputs, size, group_ids, num_groups,
         )
         self._registry.stats.observe(self.name, size, num_groups, elapsed)
         out_type = self.definition.signature.return_types[0]
@@ -322,7 +337,7 @@ class RegisteredUdf:
     ) -> List[Column]:
         """Run a table UDF in relation mode; returns its output columns."""
         c_columns, elapsed = self._invoke_batch(
-            "table", self.wrapper.entry, inputs, size,
+            "table", inputs, size,
             tuple(col.sql_type for col in inputs), tuple(const_args),
         )
         out_rows = len(c_columns[0]) if c_columns else 0
@@ -334,7 +349,7 @@ class RegisteredUdf:
     ) -> Tuple[List[int], List[Column]]:
         """Run a table UDF in expand mode; returns (row lineage, columns)."""
         (lineage, c_columns), elapsed = self._invoke_batch(
-            "table_expand", self.wrapper.expand_entry, inputs, size,
+            "table_expand", inputs, size,
             tuple(col.sql_type for col in inputs), tuple(const_args),
         )
         self._registry.stats.observe(self.name, size, len(lineage), elapsed)
@@ -433,9 +448,11 @@ class UdfRegistry:
         """Register a decorated UDF (or a raw :class:`UdfDefinition`).
 
         Accepts the object produced by the ``@scalar_udf`` /
-        ``@aggregate_udf`` / ``@table_udf`` decorators.  Builds the
-        wrapper, records the CREATE FUNCTION statement, and makes the UDF
-        resolvable by the planner.
+        ``@aggregate_udf`` / ``@table_udf`` decorators.  Records the
+        CREATE FUNCTION statement and makes the UDF resolvable by the
+        planner; the wrapper is built on the first call that needs it.
+        The name must be a Python identifier: it names the generated
+        wrapper functions.
 
         ``deterministic`` overrides the decorator's annotation at
         registration time (the CREATE FUNCTION ... DETERMINISTIC clause);
@@ -445,6 +462,10 @@ class UdfRegistry:
         changes the definition's content fingerprint.
         """
         definition = self._definition_of(udf)
+        if not definition.name.isidentifier():
+            raise UdfRegistrationError(
+                f"UDF name {definition.name!r} is not a Python identifier"
+            )
         if deterministic is not None:
             definition = dataclasses.replace(
                 definition,
@@ -454,8 +475,7 @@ class UdfRegistry:
         key = definition.name
         if key in self._udfs and not replace:
             raise UdfRegistrationError(f"UDF {definition.name!r} already registered")
-        wrapper = build_wrapper(definition)
-        registered = RegisteredUdf(definition, wrapper, self)
+        registered = RegisteredUdf(definition, self)
         self._udfs[key] = registered
         self._advance_version(key, definition, version)
         if dialect is not None:

@@ -176,6 +176,11 @@ REMOVED_BOUNDARY_NAMES = (
     "ResilientChannel", "buffer_transport", "channel_events",
     "ChannelDegradedWarning",
 )
+#: The second wrapper generator's leftovers: a fused trace carries its
+#: batch entries in ``UdfDefinition.entries``, with no shell around them.
+REMOVED_WRAPPER_NAMES = (
+    "scalar_batch_func", "expand_batch_func", "morsel_safe", "batch_udf",
+)
 ADAPTER_FAMILY = (
     MiniDbAdapter, RowStoreAdapter, TupleDbAdapter, DuckDbLikeAdapter,
     ParallelDbAdapter,
@@ -227,6 +232,7 @@ class TestKnobRatchet:
         text = (pathlib.Path(__file__).parents[2] / doc).read_text()
         for name in set(
             REMOVED_KNOBS + REMOVED_ADAPTER_ALIASES + REMOVED_BOUNDARY_NAMES
+            + REMOVED_WRAPPER_NAMES
         ):
             stale = re.search(rf"\b{name}\b", text)
             assert stale is None, f"{doc} still documents {name!r}"

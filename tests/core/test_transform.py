@@ -260,9 +260,10 @@ class TestGeneratedWrapperFastPaths:
         qfusor = make_qfusor()
         qfusor.execute("SELECT t_upper(t_lower(name)) FROM people")
         fused = qfusor.last_report.fused[0].definition
-        assert fused.scalar_batch_func is not None
         registered = qfusor.adapter.registry.get(fused.name)
-        assert "batch_udf" in registered.wrapper.source
+        # The registered entry is the fused trace's own batch loop.
+        assert registered.entry("scalar") is fused.entries["scalar"]
+        assert fused.entries["scalar"].__name__ == f"{fused.name}__scalar_batch"
 
     def test_fused_table_has_expand_batch(self):
         qfusor = make_qfusor()
@@ -273,13 +274,13 @@ class TestGeneratedWrapperFastPaths:
             f.definition for f in qfusor.last_report.fused
             if f.definition.kind is UdfKind.TABLE
         ]
-        assert table_fused and table_fused[0].expand_batch_func is not None
+        assert table_fused and "table_expand" in table_fused[0].entries
 
     def test_user_udfs_have_no_batch_entries(self):
         from tests.conftest import t_lower, t_tokens
 
-        assert t_lower.__udf__.scalar_batch_func is None
-        assert t_tokens.__udf__.expand_batch_func is None
+        assert t_lower.__udf__.entries == {}
+        assert t_tokens.__udf__.entries == {}
 
 
 class TestInterleavedLayout:

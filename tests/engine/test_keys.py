@@ -159,7 +159,7 @@ class LoopExecutor(VectorExecutor):
         else:
             raise ExecutionError(f"unknown set operation {node.op!r}")
         columns = [
-            Column(f.name, f.sql_type, [row[i] for row in rows], validate=False)
+            Column(f.name, f.sql_type, [row[i] for row in rows])
             for i, f in enumerate(node.schema)
         ]
         return columns, len(rows)

@@ -52,6 +52,36 @@ class TestAdapterParity:
         assert qfusor.execute(sql).to_rows() == reference
 
 
+class TestSetOperationTypes:
+    """A set operation is typed by its left input on both executors."""
+
+    def load(self, adapter):
+        adapter.register_table(Table.from_rows(
+            "t", [("i", SqlType.INT)], [(1,), (2,)]
+        ))
+        adapter.register_table(Table.from_rows(
+            "u", [("f", SqlType.FLOAT)], [(1.5,), (2.0,)]
+        ))
+        return adapter
+
+    def test_float_into_int_raises_the_same_error(self):
+        sql = "SELECT i FROM t UNION SELECT f FROM u"
+        errors = []
+        for factory in (MiniDbAdapter, TupleDbAdapter):
+            with pytest.raises(Exception) as err:
+                self.load(factory()).execute_sql(sql)
+            errors.append(type(err.value))
+        assert errors[0] is errors[1]
+        assert errors[0].__name__ == "TypeMismatchError"
+
+    @pytest.mark.parametrize("factory", [MiniDbAdapter, TupleDbAdapter])
+    def test_int_into_float_widens(self, factory):
+        result = self.load(factory()).execute_sql(
+            "SELECT f FROM u UNION SELECT i FROM t"
+        )
+        assert result.to_rows() == [(1.5,), (2.0,), (1.0,)]
+
+
 @aggregate_udf(name="pair_sum")
 class PairSum:
     def __init__(self):

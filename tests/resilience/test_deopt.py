@@ -112,6 +112,48 @@ class TestPoisonedTraceRecovery:
         assert not report.deopted, "recompiled trace must be clean"
 
 
+class TestPoisonedTraceAcrossMorsels:
+    """Every fused scalar trace is row-wise pure, so its batch shards
+    across morsels.  A poisoned one fails the parallel morsels, fails
+    again in the scheduler's serial re-run, and the query de-optimizes
+    and recovers exactly as on one morsel."""
+
+    ROWS = [(i, None if i % 7 == 3 else f"Word{i}") for i in range(100)]
+
+    def make(self, config=None):
+        adapter = MiniDbAdapter()
+        policy = adapter.enable_columnar(threads=2, morsel_size=16)
+        adapter.register_table(Table.from_rows(
+            "t", [("id", SqlType.INT), ("v", SqlType.TEXT)], self.ROWS,
+        ))
+        adapter.register_udf(r_fold)
+        adapter.register_udf(r_mark)
+        config = (config or QFusorConfig()).ablated(cost_based=False)
+        return QFusor(adapter, config), policy.scheduler
+
+    def test_deopt_recovers_and_records(self):
+        reference = rows(self.make(QFusorConfig.disabled())[0].execute(SQL))
+        qfusor, scheduler = self.make()
+        assert rows(qfusor.execute(SQL)) == reference
+        assert qfusor.last_report.fused, "query must fuse to test deopt"
+        assert scheduler.morsels_run > 1, "the fused batch must shard"
+
+        poisoned = poison_traces(qfusor)
+        assert poisoned
+        deopts = scheduler.deopts
+        result = qfusor.execute(SQL)
+        report = qfusor.last_report
+        assert scheduler.deopts == deopts + 1, "serial re-run must fail too"
+        assert rows(result) == reference
+        assert report.deopted
+        assert len(report.deopt_events) == 1
+        event = report.deopt_events[0]
+        assert event.recovered
+        assert event.invalidated, "poisoned cache entry must be dropped"
+        assert event.blocklisted >= 1
+        assert set(event.udf_names) <= set(poisoned)
+
+
 class TestDeoptDisabled:
     def test_poisoned_trace_raises_without_deopt(self):
         qfusor = make_qfusor(MiniDbAdapter, QFusorConfig(deopt=False))

@@ -1,5 +1,9 @@
 """Unit tests for wrapper generation, registration, and invocation."""
 
+import dataclasses
+import sys
+import threading
+
 import pytest
 
 from repro.errors import UdfExecutionError, UdfRegistrationError
@@ -26,6 +30,14 @@ class TestRegistration:
 
     def test_replace(self, registry):
         registry.register(t_lower, replace=True)
+
+    def test_name_must_be_an_identifier(self, registry):
+        # The name names the generated wrapper functions, which are built
+        # on first call: a bad name must fail here, not at that call.
+        bad = dataclasses.replace(t_lower.__udf__, name="bad-name")
+        with pytest.raises(UdfRegistrationError, match="identifier"):
+            registry.register(bad)
+        assert "bad-name" not in registry
 
     def test_undeclared_object_rejected(self, registry):
         with pytest.raises(UdfRegistrationError):
@@ -130,6 +142,34 @@ class TestTableInvocation:
         cols = registry.get("t_pairs").call_table([col], 1)
         assert cols[0].to_list() == ["xy", "z"]
         assert cols[1].to_list() == [2, 1]
+
+    def test_racing_first_calls_agree(self, registry):
+        """Threads racing to build one wrapper may each build it; every
+        call must still see a whole wrapper and the same result."""
+        col = Column("v", SqlType.TEXT, ["a b", None, "c"] * 50)
+        registered = registry.get("t_tokens")
+        barrier = threading.Barrier(8)
+        results = []
+
+        def first_call():
+            barrier.wait(timeout=10)
+            lineage, cols = registered.call_table_expand([col], len(col))
+            results.append((lineage, cols[0].to_list()))
+
+        threads = [threading.Thread(target=first_call) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert all(result == results[0] for result in results)
+        assert results[0][1] == ["a", "b", "c"] * 50
 
 
 class TestStatefulStats:
