@@ -186,9 +186,13 @@ def value_fingerprint(values: Any) -> str:
 
     * INT/FLOAT/BOOL: the numpy bytes (NULL slots zeroed, since they hold
       garbage) plus the packed null mask;
-    * TEXT/JSON whose values are all ``str``: one UTF-8 ``"\\x1f"``-join,
-      used only when it holds exactly ``len - 1`` separators, so no value
-      contained one.
+    * TEXT/JSON with a cached dictionary (:meth:`Column.dictionary`):
+      its int64 codes plus its distinct values, ``D``-tagged — no pass
+      over the rows' strings.  The same rows without a cached dictionary
+      key differently: a memo miss, never a wrong hit;
+    * other TEXT/JSON whose values are all ``str``: one UTF-8
+      ``"\\x1f"``-join, used only when it holds exactly ``len - 1``
+      separators, so no value contained one.
 
     Every other value (a per-row scalar argument, an object column holding
     NULLs or non-``str`` values) falls back to tagged reprs.  The reprs
@@ -219,7 +223,19 @@ def _hash_value(h: Any, value: Any) -> None:
         h.update(np.ascontiguousarray(data))
         h.update(np.packbits(null))
         return
-    items = data.tolist()
+    found = value.dictionary(compute=False)
+    if found is not None:
+        codes, values = found
+        h.update(tag + b"D")
+        h.update(np.ascontiguousarray(codes, dtype=np.int64))
+        _hash_objects(h, b"V%d:" % len(values), values.tolist())
+        return
+    _hash_objects(h, tag, data.tolist())
+
+
+def _hash_objects(h: Any, tag: bytes, items: List[Any]) -> None:
+    """The values of an object array: one ``"\\x1f"``-join when they
+    are all ``str`` and hold no separator, else tagged reprs."""
     try:
         joined = _SEP.join(items)
     except TypeError:  # a NULL or a non-str value

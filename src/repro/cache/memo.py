@@ -22,9 +22,30 @@ from ..obs import METRICS, OBS
 from . import fingerprint
 from .lru import LruMap
 
-__all__ = ["UdfMemoCache"]
+__all__ = ["UdfMemoCache", "by_value"]
 
 _MISSING = object()
+
+
+def by_value(registered: Any) -> bool:
+    """May this UDF be evaluated by value — its result for an input
+    taken from a memo entry or from one call per distinct value?  Only
+    for UDFs explicitly annotated deterministic.
+
+    Fused UDFs inherit the verdict from every user UDF they were
+    generated from (relational stages are deterministic by
+    construction)."""
+    definition = registered.definition
+    if definition.is_fused:
+        registry = registered._registry
+        for source in definition.fused_from:
+            origin = registry.lookup(source)
+            if origin is None:
+                continue  # a relational stage, not a UDF
+            if not origin.definition.deterministic_annotated:
+                return False
+        return True
+    return definition.deterministic_annotated
 
 
 class UdfMemoCache:
@@ -54,23 +75,8 @@ class UdfMemoCache:
     # Admission + key derivation
     # ------------------------------------------------------------------
 
-    def eligible(self, registered: Any) -> bool:
-        """Memo-safety: only UDFs explicitly annotated deterministic.
-
-        Fused UDFs inherit eligibility from every user UDF they were
-        generated from (relational stages are deterministic by
-        construction)."""
-        registry = registered._registry
-        definition = registered.definition
-        if definition.is_fused:
-            for source in definition.fused_from:
-                origin = registry.lookup(source)
-                if origin is None:
-                    continue  # a relational stage, not a UDF
-                if not origin.definition.deterministic_annotated:
-                    return False
-            return True
-        return definition.deterministic_annotated
+    #: Memo-safety is :func:`by_value`.
+    eligible = staticmethod(by_value)
 
     def admitted(self, registered: Any, size: int) -> bool:
         """Cost-aware admission: is memoization worth the hashing?"""

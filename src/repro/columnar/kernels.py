@@ -16,19 +16,35 @@ per-row machinery with one pass:
 - governance checkpoints fire between ``morsel_size`` chunks, so
   deadlines/cancellation/budgets interrupt mid-batch like before.
 
+User UDFs and fused scalar traces alike: a trace's ``definition.func``
+is its fused scalar function, mapped here as any user UDF is, so its
+compiled per-row batch loop runs only when the kernel deopts.
+
+**By value.**  A UDF that may be evaluated by value
+(:func:`repro.cache.memo.by_value`: annotated deterministic, and every
+origin of a fused trace too) over one TEXT/JSON column with a
+dictionary (:meth:`Column.dictionary`) runs once per distinct value and
+the results are gathered by code; a TEXT/JSON result keeps its own
+deduplicated dictionary for the next operator (``factorize`` takes its
+codes).  The dictionary holds only values its rows hold, so the values
+are a subset of the calls the row loop would make.
+
 Fallback ladder: anything the kernel cannot vouch for — armed fault
-injection, JIT batch wrappers (they have their own fused loop), a UDF
-body raising, an untrusted result type — returns ``None`` and the caller
-re-executes the batch on the classic per-row path, which owns row-error
-policies and fault semantics.  The kernel is a pure fast path; it never
-changes results or error behaviour.
+injection, a UDF body raising (on a row or on a distinct value), an
+untrusted result type — returns ``None`` and the caller re-executes the
+whole batch on the classic per-row path, which owns row-error policies
+and fault semantics.  The kernel is a pure fast path; it never changes
+results or error behaviour.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
+from ..engine.keys import encode_objects
 from ..errors import QueryInterrupt
+from ..jit.codegen import _record_fused_batch
+from ..obs import OBS
 from ..resilience.governor import checkpoint
 from ..resilience.runtime import FAULTS as _FAULTS
 from ..storage import serde
@@ -39,18 +55,13 @@ from ..udf.definition import UdfDefinition, UdfKind
 
 __all__ = ["eligible", "scalar_batch", "aggregate_eligible", "aggregate_batch"]
 
+_OBJECT_TYPES = (SqlType.TEXT, SqlType.JSON)
+
 
 def eligible(definition: UdfDefinition) -> bool:
-    """Can this UDF's batches run on the kernel path?
-
-    A fused trace runs its own batch entry, compiled with the trace;
-    armed fault injection needs the classic path's per-row fire points.
-    """
-    return (
-        definition.kind is UdfKind.SCALAR
-        and "scalar" not in definition.entries
-        and not _FAULTS.armed
-    )
+    """Can this UDF's batches run on the kernel path?  Armed fault
+    injection needs the classic path's per-row fire points."""
+    return definition.kind is UdfKind.SCALAR and not _FAULTS.armed
 
 
 def _run_chunk(
@@ -79,13 +90,53 @@ def scalar_batch(
     inputs: Sequence[Column],
     size: int,
     chunk: int = 4096,
+    by_value: bool = False,
 ) -> Optional[Column]:
-    """Run one scalar batch on the kernel path.
+    """Run one scalar batch on the kernel path; ``by_value`` says the
+    UDF may run once per distinct value (see the module docstring).
 
     Returns the result column, or ``None`` when the kernel must deopt
     (the caller re-runs the batch classically).  Governed interrupts
     propagate — a deopt must never swallow a cancellation.
     """
+    found = None
+    if by_value and len(inputs) == 1 and inputs[0].sql_type in _OBJECT_TYPES:
+        found = inputs[0].dictionary()
+    if found is None:
+        column = _map_batch(definition, inputs, size, chunk)
+    else:
+        column = _map_dictionary(definition, inputs[0], found, chunk)
+    if column is not None and definition.is_fused and OBS.metrics:
+        # The histogram the trace's own batch loop records.
+        _record_fused_batch(definition.name, size)
+    return column
+
+
+def _map_dictionary(
+    definition: UdfDefinition, column: Column, found, chunk: int
+) -> Optional[Column]:
+    """The UDF over the distinct values of ``column``, gathered by code."""
+    codes, values = found
+    distinct = Column.from_numpy(column.name, column.sql_type, values)
+    out = _map_batch(definition, [distinct], len(values), chunk)
+    if out is None:
+        return None
+    if out.sql_type not in _OBJECT_TYPES:
+        return out.take(codes)
+    results = out.numpy()
+    out_codes, first_rows = encode_objects(results)
+    return Column.from_dictionary(
+        out.name, out.sql_type, out_codes[codes], results[first_rows]
+    )
+
+
+def _map_batch(
+    definition: UdfDefinition,
+    inputs: Sequence[Column],
+    size: int,
+    chunk: int,
+) -> Optional[Column]:
+    """The UDF over every row of ``inputs``, or ``None`` to deopt."""
     try:
         loaded = [boundary.column_to_python_batch(col) for col in inputs]
         func = definition.func

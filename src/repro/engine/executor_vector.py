@@ -34,7 +34,7 @@ from ..types import SqlType
 from ..udf.definition import UdfKind
 from .expressions import FunctionResolver, VectorEvaluator, truth_mask
 from .expressions import compile as compile_kernel
-from .keys import factorize, join_codes, joint_column
+from .keys import factorize, hashable, join_codes, joint_column
 from .plan import (
     Aggregate, CteScan, Distinct, Expand, Field, Filter, FusedFilter,
     Join, Limit, OneRow, PlanNode, Project, Requalify, Scan, SetOperation,
@@ -51,10 +51,11 @@ class VectorExecutor:
     """Operator-at-a-time executor.
 
     With a ``scheduler`` (a :class:`~repro.columnar.morsel.MorselScheduler`)
-    the row-parallel operators — Filter, FusedFilter, and UDF-bearing
-    Project — run over its morsel grid; operators whose semantics are
-    cross-row (aggregate, join, sort, distinct, set ops, expand) never
-    shard: morselizing them would need a merge phase.
+    of more than one thread the row-parallel operators — Filter,
+    FusedFilter, and UDF-bearing Project — run over its morsel grid;
+    operators whose semantics are cross-row (aggregate, join, sort,
+    distinct, set ops, expand) never shard: morselizing them would need
+    a merge phase.
     """
 
     def __init__(self, catalog: Catalog, resolver: FunctionResolver,
@@ -155,9 +156,13 @@ class VectorExecutor:
         """Whether a row-parallel operator over ``size`` rows that calls
         the functions ``calls`` runs morsel by morsel.  ``udf_only``
         keeps operators that call no scalar UDF whole: slicing pure
-        numpy work into morsels only adds concat work."""
+        numpy work into morsels only adds concat work.  One thread never
+        shards: morsels would only slice the input (dropping its
+        dictionary), multiply memo lookups and concat the results, and
+        the kernels and generated loops checkpoint inside a batch."""
         scheduler = self.scheduler
-        if scheduler is None or size <= scheduler.morsel_size:
+        if (scheduler is None or scheduler.threads <= 1
+                or size <= scheduler.morsel_size):
             return False  # one morsel gains nothing from the machinery
         if _FAULTS.armed:
             # Injected faults fire at classic per-row points and may be
@@ -335,9 +340,10 @@ class VectorExecutor:
                     continue
                 gid = int(group_ids[i])
                 if seen is not None:
-                    if row in seen[gid]:
+                    key = hashable(row)
+                    if key in seen[gid]:
                         continue
-                    seen[gid].add(row)
+                    seen[gid].add(key)
                 states[gid].step(*row)
         else:  # count(*)
             for i in range(size):

@@ -45,14 +45,15 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..errors import JitError, UdfExecutionError
 from ..types import SqlType
 from ..udf import boundary
 from ..udf.definition import UdfDefinition, UdfKind
 from ..udf.signature import UdfSignature
-from ..udf.wrappers import GeneratedWrapper
 from .inliner import try_inline
 
 __all__ = [
@@ -354,10 +355,13 @@ def generate_fused_udf(spec: PipelineSpec) -> FusedUdf:
     )
 
 
-def generate_wrapper(udf: UdfDefinition) -> GeneratedWrapper:
-    """Generate and compile ``udf``'s wrapper: the one-stage pipeline
-    whose stage calls the UDF (never inlined), with the UDF's own NULL
-    rule and fault context."""
+def generate_wrapper(udf: UdfDefinition,
+                     expand: bool = False) -> Tuple[str, Callable]:
+    """Generate and compile one entry of ``udf``'s wrapper, ``(source,
+    entry)``: the one-stage pipeline whose stage calls the UDF (never
+    inlined), with the UDF's own NULL rule and fault context.  A table
+    UDF's entry is its relation mode, or with ``expand`` its expand
+    mode; the other modes have one entry."""
     name = f"wrapper_{udf.name}"
     args = tuple(f"v{i}" for i in range(udf.arity))
     inputs = tuple(zip(args, udf.signature.arg_types))
@@ -376,19 +380,19 @@ def generate_wrapper(udf: UdfDefinition) -> GeneratedWrapper:
         wraps=udf,
     )
     builder = SourceBuilder()
+    entry = name
     if udf.kind is UdfKind.SCALAR:
         generator.emit_scalar_batch(builder, name, name)
     elif udf.kind is UdfKind.AGGREGATE:
         generator.emit_aggregate_batch(builder, name)
+    elif expand:
+        entry = f"{name}_expand"
+        generator.emit_expand_batch(builder, entry, name)
     else:
         generator.emit_relation(builder, name)
-        builder.line()
-        generator.emit_expand_batch(builder, f"{name}_expand", name)
     source = builder.source()
-    namespace = _exec(source, f"<wrapper:{name}>", generator.namespace)
-    return GeneratedWrapper(
-        udf, source, namespace[name], namespace.get(f"{name}_expand")
-    )
+    namespace = _exec(source, f"<wrapper:{entry}>", generator.namespace)
+    return source, namespace[entry]
 
 
 def _tuple(items: Sequence[str]) -> str:

@@ -2,9 +2,9 @@
 
 Registering a UDF (a) stores the definition for name resolution during
 planning, and (b) produces the engine-specific ``CREATE FUNCTION``
-statement through the dialect layer (section 5.5).  Its wrapper
-(:mod:`repro.udf.wrappers`) is built on the first batch call that needs
-one.  Invocation goes through the registry so that
+statement through the dialect layer (section 5.5).  Each entry of its
+wrapper (:mod:`repro.udf.wrappers`) is compiled on the first batch call
+that needs it.  Invocation goes through the registry so that
 execution statistics are recorded into the stateful
 :class:`~repro.udf.state.StatsStore` (section 5.2.2).
 
@@ -29,6 +29,7 @@ from ..errors import (
 from ..obs import DEFAULT_BYTES_BUCKETS, DEFAULT_SIZE_BUCKETS, METRICS, OBS
 from ..obs import tracer as obs_tracer
 from ..cache.fingerprint import definition_fingerprint
+from ..cache.memo import by_value
 from ..resilience.breaker import BreakerBoard
 from ..resilience.governor import udf_batch_guard
 from ..storage.column import Column
@@ -36,7 +37,7 @@ from ..types import SqlType
 from . import boundary
 from .definition import UdfDefinition, UdfKind
 from .state import StatsStore
-from .wrappers import GeneratedWrapper, build_wrapper
+from .wrappers import GeneratedWrapper
 
 __all__ = ["UdfRegistry", "RegisteredUdf"]
 
@@ -45,13 +46,14 @@ class RegisteredUdf:
     """A UDF plus its compiled wrapper and the registry that owns it."""
 
     __slots__ = (
-        "definition", "_wrapper", "_registry",
+        "definition", "wrapper", "_registry",
         "_obs_calls", "_obs_latency", "_obs_rows",
     )
 
     def __init__(self, definition: UdfDefinition, registry):
         self.definition = definition
-        self._wrapper: Optional[GeneratedWrapper] = None
+        #: Compiles each of its entries on first use.
+        self.wrapper = GeneratedWrapper(definition)
         self._registry = registry
         # Lazily-bound metric instruments (one dict lookup saved per call).
         self._obs_calls = None
@@ -65,15 +67,6 @@ class RegisteredUdf:
     @property
     def kind(self) -> UdfKind:
         return self.definition.kind
-
-    @property
-    def wrapper(self) -> GeneratedWrapper:
-        """The generated wrapper, built on first use.  Two threads may
-        both build it; the build is pure, so either result serves."""
-        wrapper = self._wrapper
-        if wrapper is None:
-            wrapper = self._wrapper = build_wrapper(self.definition)
-        return wrapper
 
     def entry(self, kind: str) -> Callable[..., Any]:
         """The batch entry point of call ``kind``: a fused trace's own
@@ -225,7 +218,7 @@ class RegisteredUdf:
                 column, elapsed = self._guarded(
                     lambda: kernels.scalar_batch(
                         self.definition, inputs, size,
-                        chunk=policy.morsel_size,
+                        chunk=policy.morsel_size, by_value=by_value(self),
                     ),
                     size,
                 )

@@ -8,9 +8,9 @@ reproduction: a wrapper is the one-stage fused pipeline whose stage
 calls the UDF, emitted by :func:`repro.jit.codegen.generate_wrapper`.
 Its source is kept on the wrapper object for inspection, mirroring the
 paper's examples.  A fused trace compiles its own batch entries with the
-trace (``UdfDefinition.entries``); the registry builds a wrapper on the
-first call that needs one, and a worker process when the UDF is
-installed in it.
+trace (``UdfDefinition.entries``); a wrapper compiles the entry of one
+call mode on the first call that needs it, in the registry's process or
+in a worker's.
 
 Semantics of the generated loops:
 
@@ -34,7 +34,7 @@ Semantics of the generated loops:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Tuple
 
 from .definition import UdfDefinition
 
@@ -42,21 +42,37 @@ __all__ = ["GeneratedWrapper", "build_wrapper"]
 
 
 class GeneratedWrapper:
-    """A compiled wrapper plus its generated source."""
+    """A registered UDF's wrapper: the batch entry of each call mode,
+    generated and compiled on its first use.  A table UDF has two modes
+    (relation and expand) and a call needs only one, so each is its own
+    source.  Two threads may both build an entry; the build is pure, so
+    either result serves."""
 
-    __slots__ = ("udf", "source", "entry", "expand_entry")
+    __slots__ = ("udf", "_built")
 
-    def __init__(
-        self,
-        udf: UdfDefinition,
-        source: str,
-        entry: Callable,
-        expand_entry: Optional[Callable] = None,
-    ):
+    def __init__(self, udf: UdfDefinition):
         self.udf = udf
-        self.source = source
-        self.entry = entry
-        self.expand_entry = expand_entry
+        #: expand mode? -> (source, entry)
+        self._built: Dict[bool, Tuple[str, Callable]] = {}
+
+    def _build(self, expand: bool) -> Tuple[str, Callable]:
+        built = self._built.get(expand)
+        if built is None:
+            from ..jit.codegen import generate_wrapper
+
+            built = self._built[expand] = generate_wrapper(self.udf, expand)
+        return built
+
+    @property
+    def entry(self) -> Callable:
+        """The entry of the UDF's own call kind (relation mode for a
+        table UDF)."""
+        return self._build(False)[1]
+
+    @property
+    def source(self) -> str:
+        """The generated source of :attr:`entry`."""
+        return self._build(False)[0]
 
     def __call__(self, *args, **kwargs):
         return self.entry(*args, **kwargs)
@@ -64,11 +80,9 @@ class GeneratedWrapper:
     def entry_for(self, kind: str) -> Callable:
         """The entry point of one batch call kind (``scalar``,
         ``aggregate``, ``table`` or ``table_expand``)."""
-        return self.expand_entry if kind == "table_expand" else self.entry
+        return self._build(kind == "table_expand")[1]
 
 
 def build_wrapper(udf: UdfDefinition) -> GeneratedWrapper:
-    """Generate, compile, and return the wrapper for ``udf``."""
-    from ..jit.codegen import generate_wrapper
-
-    return generate_wrapper(udf)
+    """The wrapper for ``udf``; nothing compiles until an entry is used."""
+    return GeneratedWrapper(udf)

@@ -359,6 +359,31 @@ class TestValueFingerprint:
             fp.value_fingerprint([["a"], ["b", "c"]])
         )
 
+    def test_dictionary_columns_key_by_codes_and_values(self, monkeypatch):
+        def encoded(values):
+            column = Column("a", TEXT, values)
+            assert column.dictionary() is not None
+            return column
+
+        batches = [
+            ["x", "y", "x", "x"], ["x", "y", "x", "x"], ["x", "y", "y", "y"],
+            ["y", "x", "y", "y"], ["x", None, "x", None], ["x", "y\x1fx", "x", "x"],
+        ]
+        columns = [encoded(values) for values in batches]
+        # Keyed by codes and the distinct values, never the rows' strings.
+        hashed = []
+        real = fp._hash_objects
+
+        def spy(h, tag, items):
+            hashed.append(len(items))
+            real(h, tag, items)
+
+        monkeypatch.setattr(fp, "_hash_objects", spy)
+        keys = [fp.value_fingerprint([column]) for column in columns]
+        assert hashed == [2] * len(batches)
+        assert keys[0] == keys[1]
+        assert len(set(keys)) == len(keys) - 1
+
     def test_separator_in_text_differs(self):
         assert fp.value_fingerprint([Column("a", TEXT, ["a\x1fb"])]) != (
             fp.value_fingerprint([Column("a", TEXT, ["a", "b"])])

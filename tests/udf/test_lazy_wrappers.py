@@ -2,7 +2,8 @@
 
 Registration compiles nothing; the columnar kernels run scalar and
 aggregate UDFs without a wrapper, so only the table UDFs a statement
-calls and the fused traces it prepares reach ``compile``.  The paper
+calls and the fused traces it prepares reach ``compile``, and a table
+UDF compiles only the mode (relation or expand) it is called in.  The paper
 query set (the four suites of ``repro.workloads``) is the measure: one
 cold pass over its 17 statements on a fresh adapter and QFusor compiled
 41 sources when every registration built its wrapper.
@@ -80,9 +81,22 @@ def test_scalar_statement_compiles_nothing(paper_tables, compiles):
 def test_first_expand_call_compiles_one_wrapper(paper_tables, compiles):
     adapter = loaded(paper_tables, paper_udfs())
     adapter.execute_sql(udfbench.QUERIES["Q6"])
-    assert compiles == ["<wrapper:wrapper_tokens>"]
+    # Only the expand-mode entry: the relation mode is never called.
+    assert compiles == ["<wrapper:wrapper_tokens_expand>"]
     adapter.execute_sql(udfbench.QUERIES["Q6"])
     assert len(compiles) == 1
+
+
+def test_table_modes_compile_separately(paper_tables, compiles):
+    adapter = loaded(paper_tables, paper_udfs())
+    wrapper = adapter.registry.get("tokens").wrapper
+    wrapper.entry_for("table")
+    assert compiles == ["<wrapper:wrapper_tokens>"]
+    wrapper.entry_for("table_expand")
+    wrapper.entry_for("table")
+    assert compiles == [
+        "<wrapper:wrapper_tokens>", "<wrapper:wrapper_tokens_expand>"
+    ]
 
 
 def test_cold_pass_compiles_at_most_four(paper_tables, compiles):
