@@ -116,9 +116,10 @@ class CacheManager:
     # ------------------------------------------------------------------
 
     @contextmanager
-    def note_write(self, statement: Any) -> Iterator[None]:
-        """Around a DML statement: afterwards, touch each written table
-        whose snapshot epoch did not move while it ran.
+    def note_write(self, written: Sequence[str]) -> Iterator[None]:
+        """Around a DML statement writing the tables ``written``:
+        afterwards, touch each whose snapshot epoch did not move while
+        it ran.
 
         Minidb-family DML bumps the epoch itself, and that bump is the
         statement's one WAL record.  A touch covers engines with external
@@ -126,7 +127,6 @@ class CacheManager:
         catalog, and statements that failed before writing.
         """
         catalog = self.adapter.catalog
-        written = fingerprint.written_tables(statement)
         before = [catalog.epoch(name) for name in written]
         try:
             yield
@@ -179,19 +179,20 @@ class CacheManager:
         return tuple(schemas)
 
     def result_key(
-        self, statement: Any, sql_text: str, udf_names: Sequence[str]
+        self, parsed: Any, udf_names: Sequence[str]
     ) -> Optional[ResultKey]:
         """Derive the result-cache key, or None when ineligible.
+
+        ``parsed`` is a :class:`~repro.core.qfusor.ParsedStatement`: its
+        fingerprint and tables were derived once per SQL text; epochs
+        and UDF versions are read here, on every call.
 
         Eligible: result tier enabled, the statement is a SELECT over
         known tables, and every referenced UDF is explicitly annotated
         deterministic (unannotated UDFs conservatively disqualify)."""
-        if self.results is None:
-            return None
-        tables = fingerprint.statement_tables(statement)
-        if tables is None:
-            return None  # not a SELECT
-        epochs = self._table_epochs(tables)
+        if self.results is None or parsed.tables is None:
+            return None  # tier off, or not a SELECT
+        epochs = self._table_epochs(parsed.tables)
         if epochs is None:
             return None
         versions = self._referenced_udf_versions(udf_names)
@@ -206,7 +207,7 @@ class CacheManager:
             self.scope,
             self.adapter.name,
             generation,
-            fingerprint.sql_fingerprint(statement),
+            parsed.fingerprint,
             epochs,
             versions,
             self._config_fp,
@@ -214,7 +215,7 @@ class CacheManager:
         return ResultKey(key=key, is_udf_query=bool(udf_names))
 
     def plan_key(
-        self, statement: Any, udf_names: Sequence[str]
+        self, parsed: Any, udf_names: Sequence[str]
     ) -> Optional[Tuple]:
         """Derive the plan-cache key, or None when ineligible.
 
@@ -222,12 +223,9 @@ class CacheManager:
         (plans survive data changes) and do not require determinism
         annotations (a plan is not a result — replanning the same text
         yields the same plan regardless of UDF purity)."""
-        if self.plan is None:
+        if self.plan is None or parsed.tables is None:
             return None
-        tables = fingerprint.statement_tables(statement)
-        if tables is None:
-            return None
-        schemas = self._table_schemas(tables)
+        schemas = self._table_schemas(parsed.tables)
         if schemas is None:
             return None
         registry = self.adapter.registry
@@ -237,7 +235,7 @@ class CacheManager:
         return (
             self.scope,
             self.adapter.name,
-            fingerprint.sql_fingerprint(statement),
+            parsed.fingerprint,
             schemas,
             versions,
             self._config_fp,

@@ -21,14 +21,17 @@ pipeline only once a statement is hot or big enough to earn it back.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
-from ..cache import CacheManager
-from ..cache.fingerprint import sql_fingerprint, statement_tables
+from ..cache import CacheManager, LruMap
+from ..cache.fingerprint import sql_fingerprint, statement_tables, written_tables
 from ..cache.plan_cache import PlanEntry
 from ..engine.database import Database
 from ..engine.explain import explain_text
@@ -59,12 +62,14 @@ from .rewrite import rewrite_statement
 from .sections import FusibleSection, discover_sections
 from .transform import FusionOutcome, PlanFuser
 
-__all__ = ["QFusor", "QFusorReport"]
+__all__ = ["QFusor", "QFusorReport", "ParsedStatement"]
 
 #: Bounded-LRU size of the compiled-trace cache.
 TRACE_CACHE_CAPACITY = 256
 #: Bounded-LRU size of the tier gate's table of statements seen cold.
 SIGHTINGS_CAPACITY = 1024
+#: Bounded-LRU size of the statement cache (SQL text -> ParsedStatement).
+STATEMENT_CACHE_CAPACITY = 1024
 
 
 @dataclass
@@ -106,6 +111,8 @@ class QFusorReport:
     #: empty when the gate was not consulted (plan-cache hit, a walk that
     #: starts at the floor).
     tier: str = ""
+    #: Registered UDFs the statement calls, in first-reference order.
+    udfs: List[str] = field(default_factory=list)
 
     @property
     def fused_names(self) -> List[str]:
@@ -190,6 +197,10 @@ class QFusor:
         # The tier gate's memory: fingerprints of SELECTs that ran cold.
         self._sightings: "OrderedDict[Any, None]" = OrderedDict()
         self._sightings_lock = threading.Lock()
+        # SQL text -> ParsedStatement: parse, fingerprint and walks once
+        # per text.  Nothing in a record depends on the registry or the
+        # catalog, so the exact-text key needs no invalidation.
+        self.statements = LruMap(STATEMENT_CACHE_CAPACITY)
         # Fused UDFs must reach the engine itself (the sqlite3 adapter,
         # for example, registers through create_function).
         self.fuser.register_hook = engine.register_udf
@@ -315,8 +326,8 @@ class QFusor:
                     obs_tracer.maybe_trace("query", adapter=self.adapter.name)
                 )
             sp = obs_tracer.span_start("parse") if OBS.tracing else None
-            statement = parse(sql) if isinstance(sql, str) else sql
-            sql_text = sql if isinstance(sql, str) else to_sql(statement)
+            parsed = self._statement(sql)
+            sql_text = sql if isinstance(sql, str) else to_sql(sql)
             if sp is not None:
                 obs_tracer.span_end(sp)
             if trace is not None:
@@ -326,7 +337,7 @@ class QFusor:
                 stack.enter_context(self.admission.admit())
             if ctx is not None:
                 stack.enter_context(governor.activate(ctx))
-            return self._execute_pipeline(statement, sql_text)
+            return self._execute_pipeline(parsed, sql_text)
 
     def cancel(self, reason: str = "cancelled") -> bool:
         """Cancel the most recently started governed execution, if any."""
@@ -366,29 +377,43 @@ class QFusor:
         self._last_context = context
         return context
 
-    def _execute_pipeline(
-        self, statement: ast.Statement, sql_text: str
-    ) -> Table:
-        report = QFusorReport(sql=sql_text)
+    def _statement(self, sql: Union[str, ast.Statement]) -> ParsedStatement:
+        """The statement ``sql`` names, with what derives from its text
+        alone: served by exact text from the statement cache.  A
+        ``ParseError`` propagates and caches nothing; an AST argument
+        is described afresh."""
+        if not isinstance(sql, str):
+            return ParsedStatement.of(sql)
+        parsed = self.statements.get(sql)
+        if parsed is None:
+            parsed = ParsedStatement.of(parse(sql))
+            self.statements.put(sql, parsed)
+        return parsed
+
+    def _execute_pipeline(self, parsed: ParsedStatement, sql_text: str) -> Table:
+        # Registry membership is read fresh: a UDF registered since the
+        # text was cached takes the UDF path.
+        report = QFusorReport(
+            sql=sql_text, udfs=parsed.udfs(self.adapter.registry)
+        )
         self.last_report = report
         # Advance the deopt blocklist's per-query cooldown clock.
         self.heuristics.blocklist.tick()
 
         caches = self.caches
         if not caches.active:
-            return self._run_pipeline(statement, report)
-        if not isinstance(statement, ast.Select):
+            return self._run_pipeline(parsed, report)
+        if not isinstance(parsed.statement, ast.Select):
             # DML/DDL: run normally; dependent result-cache entries retire
             # because the written tables' snapshot epochs move.
-            with caches.note_write(statement):
-                return self._run_pipeline(statement, report)
-        udfs = referenced_udfs(statement, self.adapter.registry)
-        rkey = caches.result_key(statement, sql_text, udfs)
+            with caches.note_write(parsed.written):
+                return self._run_pipeline(parsed, report)
+        rkey = caches.result_key(parsed, report.udfs)
         if rkey is None:
-            return self._run_pipeline(statement, report)
+            return self._run_pipeline(parsed, report)
 
         def execute():
-            result = self._run_pipeline(statement, report)
+            result = self._run_pipeline(parsed, report)
             return result, CacheManager.storeable(report)
 
         result, outcome = caches.result_get_or_execute(rkey, report, execute)
@@ -399,29 +424,24 @@ class QFusor:
         return result
 
     def _run_pipeline(
-        self, statement: ast.Statement, report: QFusorReport
+        self, parsed: ParsedStatement, report: QFusorReport
     ) -> Table:
-        if not self.config.enabled or not self._involves_udfs(statement):
+        statement = parsed.statement
+        if not self.config.enabled or not _involves_udfs(parsed, report):
             return self._walk(report, [self._floor(statement)])
         report.is_udf_query = True
 
         # Circuit-breaker gate: a query referencing an open-breaker UDF
         # either fails fast or starts its walk at the floor (policy).
-        if not self._admit_breakers(statement, report):
+        if not self._admit_breakers(report):
             return self._walk(report, [self._floor(statement)])
 
         pkey = None
         if self.caches.active and isinstance(statement, ast.Select):
-            pkey = self.caches.plan_key(
-                statement, referenced_udfs(statement, self.adapter.registry)
-            )
-        return self._walk(
-            report, self._ladder(statement, report, pkey), pkey
-        )
+            pkey = self.caches.plan_key(parsed, report.udfs)
+        return self._walk(report, self._ladder(parsed, report, pkey), pkey)
 
-    def _admit_breakers(
-        self, statement: ast.Statement, report: QFusorReport
-    ) -> bool:
+    def _admit_breakers(self, report: QFusorReport) -> bool:
         """Apply the per-UDF circuit-breaker policy before any work.
 
         Returns False when the query must run unfused (open breaker +
@@ -432,9 +452,7 @@ class QFusor:
         board = self.adapter.registry.breakers
         if not board.enabled:
             return True
-        refused = board.refusing(
-            referenced_udfs(statement, self.adapter.registry)
-        )
+        refused = board.refusing(report.udfs)
         if not refused:
             return True
         if self.config.breaker_policy == "fail_fast":
@@ -455,7 +473,7 @@ class QFusor:
 
     def _ladder(
         self,
-        statement: ast.Statement,
+        parsed: ParsedStatement,
         report: QFusorReport,
         pkey: Optional[tuple],
     ) -> Iterator[Rung]:
@@ -466,6 +484,7 @@ class QFusor:
         never plans or fuses, and a faulted one fuses afterwards.  A
         statement the tier gate keeps cold yields the floor alone.
         """
+        statement = parsed.statement
         entry = None
         if pkey is not None:
             entry = self.caches.plan_lookup(pkey, report)
@@ -473,7 +492,7 @@ class QFusor:
         if hit:
             # A plan-cache hit: parse/probe/plan/fuse all skipped.
             self._adopt(report, entry, "plan-cache")
-        elif not self._tier(statement, report, pkey):
+        elif not self._tier(parsed, report, pkey):
             yield self._floor(statement)
             return
         elif self.translator is not None:
@@ -491,9 +510,9 @@ class QFusor:
             isinstance(statement, ast.Select)
             and self.adapter.supports_plan_dispatch
         ):
-            entry = self._fuse_plan(statement, report)
+            entry = self._fuse_plan(parsed, report)
         else:
-            entry = self._rewrite(statement, report)
+            entry = self._rewrite(parsed, report)
         yield from self._rungs_of(entry, statement)
 
     def _floor(self, statement: ast.Statement) -> Rung:
@@ -502,7 +521,7 @@ class QFusor:
 
     def _tier(
         self,
-        statement: ast.Statement,
+        parsed: ParsedStatement,
         report: QFusorReport,
         pkey: Optional[tuple],
     ) -> bool:
@@ -517,24 +536,21 @@ class QFusor:
         """
         if not self.config.cost_based:
             return self._decide(report, "prepare", "cost_based off")
-        if not isinstance(statement, ast.Select):
+        if not isinstance(parsed.statement, ast.Select):
             return self._decide(report, "prepare", "DML")
         policy = self.config.row_error_policy
         if policy != "reinterpret":
             # null / skip / raise exist only on the fused rung.
             return self._decide(report, "prepare", f"row_error_policy={policy}")
-        if any(
-            isinstance(item, ast.TableFunctionRef)
-            for item in _statement_from_items(statement)
-        ):
+        if parsed.table_function:
             return self._decide(report, "prepare", "table-function source")
         rows = 0
-        for name in statement_tables(statement):
+        for name in parsed.tables:
             count = self.adapter.row_count(name)
             if count is None:
                 return self._decide(report, "prepare", f"unsized table {name}")
             rows += count
-        sites = udf_call_sites(statement, self.adapter.registry)
+        sites = parsed.call_sites(self.adapter.registry)
         saving = self.cost_model.boundary_saving(max(rows, 1), sites)
         cost = self.cost_model.prepare_cost(sites)
         big = saving >= cost
@@ -544,7 +560,7 @@ class QFusor:
         )
         if big:
             return self._decide(report, "prepare", estimate)
-        key = pkey if pkey is not None else sql_fingerprint(statement)
+        key = pkey if pkey is not None else parsed.fingerprint
         with self._sightings_lock:
             seen = key in self._sightings
             self._sightings[key] = None
@@ -677,12 +693,12 @@ class QFusor:
         return entry
 
     def _fuse_plan(
-        self, statement: ast.Select, report: QFusorReport
+        self, parsed: ParsedStatement, report: QFusorReport
     ) -> PlanEntry:
         """Path 2, steps 1-3: probe the engine's optimizer, then
         discover, optimize and JIT-compile fused sections of its plan."""
         sp = obs_tracer.span_start("plan") if OBS.tracing else None
-        planned = self.adapter.explain_plan(statement)
+        planned = self.adapter.explain_plan(parsed.statement)
         plan_before = explain_text(planned)
         if sp is not None:
             obs_tracer.span_end(sp)
@@ -708,7 +724,7 @@ class QFusor:
             plan_after=explain_text(outcome.planned),
         )
         self._adopt(report, entry)
-        self._observe_prepare(statement, report)
+        self._observe_prepare(parsed, report)
         if sp is not None:
             obs_tracer.span_end(
                 sp,
@@ -719,7 +735,7 @@ class QFusor:
         return entry
 
     def _rewrite(
-        self, statement: ast.Statement, report: QFusorReport
+        self, parsed: ParsedStatement, report: QFusorReport
     ) -> PlanEntry:
         """Path 1: fuse at the expression level and rewrite the SQL
         (4.2.5) — for engines without plan dispatch, and for DML."""
@@ -734,14 +750,14 @@ class QFusor:
         sp = obs_tracer.span_start("fuse") if OBS.tracing else None
         start = time.perf_counter()
         rewritten = rewrite_statement(
-            statement, fuse_expr, self.adapter.catalog
+            parsed.statement, fuse_expr, self.adapter.catalog
         )
         report.codegen_seconds = time.perf_counter() - start
         entry = PlanEntry(
             kind="sql", rewritten=rewritten, fused=list(report.fused)
         )
         self._adopt(report, entry)
-        self._observe_prepare(statement, report)
+        self._observe_prepare(parsed, report)
         if sp is not None:
             obs_tracer.span_end(
                 sp, fused=len(entry.fused), cache_hits=report.cache_hits
@@ -749,12 +765,12 @@ class QFusor:
         return entry
 
     def _observe_prepare(
-        self, statement: ast.Statement, report: QFusorReport
+        self, parsed: ParsedStatement, report: QFusorReport
     ) -> None:
         """Teach the tier gate what this preparation cost per call site."""
         self.cost_model.observe_prepare(
             report.total_overhead_seconds,
-            udf_call_sites(statement, self.adapter.registry),
+            parsed.call_sites(self.adapter.registry),
         )
 
     # -- the driver ------------------------------------------------------
@@ -911,12 +927,16 @@ class QFusor:
 
     def analyze(self, sql: Union[str, ast.Statement]) -> QFusorReport:
         """Run the pipeline without executing; returns the report."""
-        statement = parse(sql) if isinstance(sql, str) else sql
-        sql_text = sql if isinstance(sql, str) else to_sql(statement)
-        report = QFusorReport(sql=sql_text)
-        if isinstance(statement, ast.Select) and self._involves_udfs(statement):
+        parsed = self._statement(sql)
+        report = QFusorReport(
+            sql=sql if isinstance(sql, str) else to_sql(sql),
+            udfs=parsed.udfs(self.adapter.registry),
+        )
+        if isinstance(parsed.statement, ast.Select) and _involves_udfs(
+            parsed, report
+        ):
             report.is_udf_query = True
-            self._fuse_plan(statement, report)
+            self._fuse_plan(parsed, report)
             self.last_report = report
         return report
 
@@ -969,24 +989,9 @@ class QFusor:
     def rewrite_sql(self, sql: str) -> str:
         """Path 1: produce the fused SQL text for resubmission."""
         report = QFusorReport(sql=sql)
-        self._rewrite(parse(sql), report)
+        self._rewrite(self._statement(sql), report)
         self.last_report = report
         return report.rewritten_sql
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _involves_udfs(self, statement: ast.Statement) -> bool:
-        registry = self.adapter.registry
-        for expr in _statement_expressions(statement):
-            for node in ast.walk_expr(expr):
-                if isinstance(node, ast.FunctionCall) and node.name in registry:
-                    return True
-        for item in _statement_from_items(statement):
-            if isinstance(item, ast.TableFunctionRef):
-                return True
-        return False
 
 
 class _SchemaHolder:
@@ -996,29 +1001,75 @@ class _SchemaHolder:
         self.schema = tuple(fields)
 
 
+@dataclass(frozen=True)
+class ParsedStatement:
+    """What QFusor derives from a statement's text alone, shared by
+    every execute of that text (AST nodes are frozen).
+
+    Nothing here depends on the registry or the catalog: registry
+    membership, table epochs and schemas, and UDF versions are read
+    fresh by each execute."""
+
+    statement: ast.Statement
+    #: Base tables a SELECT reads; None for any other statement.
+    tables: Optional[Tuple[str, ...]]
+    #: Tables a DML/DDL statement writes.
+    written: Tuple[str, ...]
+    #: Lower-cased names of every function call, repeats included, in
+    #: first-reference order.
+    calls: Tuple[str, ...]
+    #: Whether a FROM clause holds a table function.
+    table_function: bool
+
+    @classmethod
+    def of(cls, statement: ast.Statement) -> "ParsedStatement":
+        tables = statement_tables(statement)
+        return cls(
+            statement,
+            None if tables is None else tuple(tables),
+            tuple(written_tables(statement)),
+            _call_names(statement),
+            any(
+                isinstance(item, ast.TableFunctionRef)
+                for item in _statement_from_items(statement)
+            ),
+        )
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """The normalized-SQL fingerprint the cache tiers key by, printed
+        on first use: statements no tier keys never pay for it."""
+        return sql_fingerprint(self.statement)
+
+    def udfs(self, registry: Any) -> List[str]:
+        """The registered UDFs called, in first-reference order."""
+        return _registered(self.calls, registry)
+
+    def call_sites(self, registry: Any) -> int:
+        """How many registered-UDF calls it makes, repeats included."""
+        return sum(name in registry for name in self.calls)
+
+
+def _involves_udfs(parsed: ParsedStatement, report: QFusorReport) -> bool:
+    return bool(report.udfs) or parsed.table_function
+
+
 def referenced_udfs(statement: ast.Statement, registry: Any) -> List[str]:
     """Lower-cased names of the registered UDFs ``statement`` calls, in
     first-reference order."""
-    names: List[str] = []
-    for expr in _statement_expressions(statement):
-        for node in ast.walk_expr(expr):
-            if (
-                isinstance(node, ast.FunctionCall)
-                and node.name in registry
-                and node.lowered_name not in names
-            ):
-                names.append(node.lowered_name)
-    return names
+    return _registered(_call_names(statement), registry)
 
 
-def udf_call_sites(statement: ast.Statement, registry: Any) -> int:
-    """How many registered-UDF calls ``statement`` makes, repeats
-    included."""
-    return sum(
-        1
+def _registered(names: Iterable[str], registry: Any) -> List[str]:
+    return list(dict.fromkeys(name for name in names if name in registry))
+
+
+def _call_names(statement: ast.Statement) -> Tuple[str, ...]:
+    return tuple(
+        node.lowered_name
         for expr in _statement_expressions(statement)
         for node in ast.walk_expr(expr)
-        if isinstance(node, ast.FunctionCall) and node.name in registry
+        if isinstance(node, ast.FunctionCall)
     )
 
 

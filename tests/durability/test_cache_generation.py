@@ -12,6 +12,7 @@ match across a recovery boundary.
 from __future__ import annotations
 
 from repro.core import QFusor, QFusorConfig
+from repro.core.qfusor import ParsedStatement
 from repro.engines import MiniDbAdapter
 from repro.sql.parser import parse
 from repro.storage import Column, Table
@@ -41,14 +42,14 @@ class TestGenerationInResultKey:
         adapter.register_table(make_table([1, 2]))
         adapter.register_udf(gen_double)
         qf = QFusor(adapter, result_config())
-        key1 = qf.caches.result_key(parse(SQL), SQL, ["gen_double"])
+        key1 = qf.caches.result_key(ParsedStatement.of(parse(SQL)), ["gen_double"])
         epochs_before = adapter.database.catalog.epoch("t")
         adapter.durability.abandon()
 
         adapter2 = MiniDbAdapter(durability_dir=tmp_path / "db")
         adapter2.register_udf(gen_double)
         qf2 = QFusor(adapter2, result_config())
-        key2 = qf2.caches.result_key(parse(SQL), SQL, ["gen_double"])
+        key2 = qf2.caches.result_key(ParsedStatement.of(parse(SQL)), ["gen_double"])
         assert key1 is not None and key2 is not None
         # Same table, same epoch, same UDF versions, same config —
         # the generation alone separates the keys.
@@ -61,7 +62,7 @@ class TestGenerationInResultKey:
         adapter.register_table(make_table([1, 2]))
         adapter.register_udf(gen_double)
         qf = QFusor(adapter, result_config())
-        key = qf.caches.result_key(parse(SQL), SQL, ["gen_double"])
+        key = qf.caches.result_key(ParsedStatement.of(parse(SQL)), ["gen_double"])
         assert key is not None
         assert adapter.database.catalog.generation == 0
 
