@@ -23,7 +23,6 @@ from ..types import SqlType
 from ..udf import boundary
 from ..udf.definition import UdfKind
 from .expressions import FunctionResolver, RowEvaluator
-from .keys import hashable
 from .plan import (
     Aggregate, CteScan, Distinct, Expand, Field, Filter, FusedFilter,
     Join, Limit, OneRow, PlanNode, Project, Requalify, Scan, SetOperation,
@@ -197,7 +196,7 @@ class TupleExecutor:
 
         evaluator = RowEvaluator(node.child.schema, self.resolver)
         groups: Dict[Tuple, List[Any]] = {}
-        order: List[Tuple[Tuple, Tuple]] = []  # (hash key, first value)
+        order: List[Tuple] = []
 
         call_arg_types = [
             tuple(
@@ -234,13 +233,12 @@ class TupleExecutor:
 
         distinct_seen: Dict[Tuple, List[set]] = {}
         for row in guarded_iter(self._rows(node.child, ctes)):
-            value = tuple(
+            key = tuple(
                 evaluator.evaluate(item.expr, row) for item in node.group_items
             )
-            key = hashable(value)
             if key not in groups:
                 groups[key] = make_states()
-                order.append((key, value))  # a group keeps its first value
+                order.append(key)
                 distinct_seen[key] = [set() for _ in node.agg_calls]
             states = groups[key]
             for idx, call in enumerate(node.agg_calls):
@@ -248,10 +246,9 @@ class TupleExecutor:
                 if skips_null[idx] and call.args and all(a is None for a in args):
                     continue
                 if call.distinct:
-                    seen_args = hashable(args)
-                    if seen_args in distinct_seen[key][idx]:
+                    if args in distinct_seen[key][idx]:
                         continue
-                    distinct_seen[key][idx].add(seen_args)
+                    distinct_seen[key][idx].add(args)
                 if call.is_udf:
                     # One boundary round trip per row (tuple-at-a-time).
                     args = tuple(
@@ -274,8 +271,8 @@ class TupleExecutor:
         if not groups and not node.group_items:
             yield finalize(make_states())
             return
-        for key, value in order:
-            yield value + finalize(groups[key])
+        for key in order:
+            yield key + finalize(groups[key])
 
     def _join(self, node: Join, ctes) -> Iterator[Row]:
         from .executor_vector import _split_join_condition
@@ -295,12 +292,12 @@ class TupleExecutor:
                 key = tuple(right_eval.evaluate(e, right_row) for _, e in equi)
                 if any(k is None for k in key):
                     continue
-                index.setdefault(hashable(key), []).append(right_row)
+                index.setdefault(key, []).append(right_row)
             for left_row in guarded_iter(self._rows(node.left, ctes)):
                 key = tuple(left_eval.evaluate(e, left_row) for e, _ in equi)
                 matched = False
                 if not any(k is None for k in key):
-                    for right_row in index.get(hashable(key), ()):
+                    for right_row in index.get(key, ()):
                         combined = left_row + right_row
                         if residual is None or evaluator.evaluate(
                             residual, combined
@@ -339,9 +336,8 @@ class TupleExecutor:
     def _distinct(self, node: Distinct, ctes) -> Iterator[Row]:
         seen = set()
         for row in self._rows(node.child, ctes):
-            key = hashable(row)
-            if key not in seen:
-                seen.add(key)
+            if row not in seen:
+                seen.add(row)
                 yield row
 
     def _limit(self, node: Limit, ctes) -> Iterator[Row]:
@@ -364,12 +360,12 @@ class TupleExecutor:
         left_rows = list(self._rows(node.left, ctes))
         right_rows = list(self._rows(node.right, ctes))
         if node.op == "UNION":
-            yield from _first_of_each(left_rows + right_rows)
+            yield from dict.fromkeys(left_rows + right_rows)
         elif node.op in ("INTERSECT", "EXCEPT"):
             keep = node.op == "INTERSECT"
-            right_set = set(map(hashable, right_rows))
-            yield from _first_of_each(
-                r for r in left_rows if (hashable(r) in right_set) is keep
+            right_set = set(right_rows)
+            yield from dict.fromkeys(
+                r for r in left_rows if (r in right_set) is keep
             )
         else:
             raise ExecutionError(f"unknown set operation {node.op!r}")
@@ -400,11 +396,3 @@ class TupleExecutor:
                 boundary.c_to_engine(boundary.python_to_c(v, t), t)
                 for v, t in zip(out_row, out_types)
             )
-
-
-def _first_of_each(rows: Iterable[Row]) -> Iterable[Row]:
-    """The first row of each distinct value, in first-seen order."""
-    first: Dict[Tuple, Row] = {}
-    for row in rows:
-        first.setdefault(hashable(row), row)
-    return first.values()

@@ -34,7 +34,7 @@ from ..types import SqlType
 from ..udf.definition import UdfKind
 from .expressions import FunctionResolver, VectorEvaluator, truth_mask
 from .expressions import compile as compile_kernel
-from .keys import factorize, hashable, join_codes, joint_column
+from .keys import factorize, join_codes, joint_column
 from .plan import (
     Aggregate, CteScan, Distinct, Expand, Field, Filter, FusedFilter,
     Join, Limit, OneRow, PlanNode, Project, Requalify, Scan, SetOperation,
@@ -340,10 +340,9 @@ class VectorExecutor:
                     continue
                 gid = int(group_ids[i])
                 if seen is not None:
-                    key = hashable(row)
-                    if key in seen[gid]:
+                    if row in seen[gid]:
                         continue
-                    seen[gid].add(key)
+                    seen[gid].add(row)
                 states[gid].step(*row)
         else:  # count(*)
             for i in range(size):

@@ -11,11 +11,11 @@ of "A Compiler for Operations on Relations with Bag Semantics".
 Equality is Python's, so the codes agree with the row loops they
 replace: NULL is one code of its own; each float NaN is a code of its
 own (a fresh Python float per row never equals itself); ``-0.0`` and
-``0.0`` share one; a JSON list or dict is keyed by its :func:`frozen`
-form.  Object (TEXT/JSON) columns are encoded with one dict pass, or
-taken from the column's cached dictionary; numeric columns with
-``np.unique``.  A multi-column key combines its per-column
-codes and re-factorizes the result.
+``0.0`` share one.  A JSON value is its serialized text, so JSON keys
+are equal when their text is.  Object (TEXT/JSON) columns are encoded
+with one dict pass, or taken from the column's cached dictionary;
+numeric columns with ``np.unique``.  A multi-column key combines its
+per-column codes and re-factorizes the result.
 """
 
 from __future__ import annotations
@@ -28,10 +28,7 @@ from ..resilience.governor import guarded_chunks
 from ..storage.column import Column
 from ..types import SqlType
 
-__all__ = [
-    "factorize", "join_codes", "joint_column", "encode_objects", "frozen",
-    "hashable",
-]
+__all__ = ["factorize", "join_codes", "joint_column", "encode_objects"]
 
 #: Rows per chunk of a dict pass (a ``CHECK_STRIDE`` multiple).
 CHUNK = 4096
@@ -98,45 +95,16 @@ def encode_objects(
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """``(codes, first_rows)`` of an object array in one dict pass, or
     None at the first chunk after which it has seen more than ``limit``
-    distinct values.  Keys are the values themselves: an unhashable one
-    raises TypeError (a dictionary never merges ``[1]`` and ``[1.0]``).
-    No governor charges: a column's dictionary is not an operator."""
+    distinct values.  No governor charges: a column's dictionary is not
+    an operator."""
     index: Dict[Any, int] = {}
     codes = np.empty(len(values), dtype=np.int64)
     for start in range(0, len(values), CHUNK):
         stop = start + CHUNK
-        _encode_items(values[start:stop].tolist(), codes, index, start, stop)
+        _encode_chunk(values, codes, index, start, stop)
         if limit is not None and len(index) > limit:
             return None
     return codes, _first_rows(codes)
-
-
-#: Tags of a frozen JSON list and dict, so neither equals a tuple.
-_LIST, _DICT = object(), object()
-
-
-def frozen(value: Any) -> Any:
-    """A hashable stand-in for a JSON value that compares like Python
-    ``==`` does on the value: lists and tuples element-wise in order,
-    dicts as sets of items (``[1] == [1.0]``, ``{a, b} == {b, a}``).
-    Hashable values are their own stand-in."""
-    if isinstance(value, list):
-        return (_LIST, tuple(map(frozen, value)))
-    if isinstance(value, dict):
-        return (_DICT, frozenset((k, frozen(v)) for k, v in value.items()))
-    if isinstance(value, tuple):
-        return tuple(map(frozen, value))
-    return value
-
-
-def hashable(row: Tuple) -> Tuple:
-    """``row`` itself when it hashes, else its :func:`frozen` form: the
-    key of a row-at-a-time hash table."""
-    try:
-        hash(row)
-    except TypeError:  # a JSON list or dict
-        return frozen(row)
-    return row
 
 
 # ----------------------------------------------------------------------
@@ -152,20 +120,11 @@ def _chunks(n: int, charge: int) -> Iterable[Tuple[int, int]]:
 
 
 def _encode_chunk(values, codes, index, start: int, stop: int) -> None:
-    """Key codes of ``values[start:stop]``; a chunk holding a JSON list
-    or dict is re-keyed by :func:`frozen` (hashable values freeze to
-    themselves, so the codes already given stay)."""
-    chunk = values[start:stop].tolist()
-    try:
-        _encode_items(chunk, codes, index, start, stop)
-    except TypeError:
-        _encode_items(list(map(frozen, chunk)), codes, index, start, stop)
-
-
-def _encode_items(items, codes, index, start: int, stop: int) -> None:
     setdefault = index.setdefault
     # len(index) is evaluated before setdefault inserts: a new value's code.
-    codes[start:stop] = [setdefault(v, len(index)) for v in items]
+    codes[start:stop] = [
+        setdefault(v, len(index)) for v in values[start:stop].tolist()
+    ]
 
 
 def _key_parts(

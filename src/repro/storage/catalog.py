@@ -55,11 +55,7 @@ class TableStats:
         self.row_count = table.num_rows
         self.distinct: Dict[str, int] = {}
         for col in table.columns:
-            values = col.to_list()
-            try:
-                self.distinct[col.name] = len(set(values))
-            except TypeError:  # unhashable (JSON lists) — fall back to repr
-                self.distinct[col.name] = len({repr(v) for v in values})
+            self.distinct[col.name] = len(set(col.to_list()))
 
     def selectivity_of_distinct(self, column: str) -> float:
         """Fraction of rows surviving a DISTINCT on ``column``."""

@@ -4,8 +4,9 @@ Numeric columns (INT, FLOAT, BOOL) are backed by numpy arrays with an
 explicit null mask, so relational operators over them run at vectorized
 speed (the MonetDB-style execution model the paper's engine integration
 assumes).  Variable-length columns (TEXT, JSON) are backed by Python object
-arrays; JSON columns hold their values in *serialized* form (see
-:mod:`repro.storage.serde`).
+arrays.  A JSON column holds serialized JSON text (``str``) or ``None``,
+nothing else: :func:`~repro.types.coerce` serializes any other value on
+the way in (see :mod:`repro.storage.serde`).
 """
 
 from __future__ import annotations
@@ -137,12 +138,9 @@ class Column:
             if self.sql_type not in _NUMERIC:
                 from ..engine.keys import encode_objects
 
-                try:
-                    encoded = encode_objects(
-                        self._data, limit=len(self._data) // 2
-                    )
-                except TypeError:  # unhashable JSON values (lists, dicts)
-                    encoded = None
+                encoded = encode_objects(
+                    self._data, limit=len(self._data) // 2
+                )
                 if encoded is not None:
                     codes, first_rows = encoded
                     found = _frozen(codes, self._data[first_rows])

@@ -15,12 +15,10 @@ the benchmarks use.
 from __future__ import annotations
 
 import json
-import re
 from typing import Any
 
 __all__ = [
-    "serialize", "deserialize", "is_serialized",
-    "serialize_values", "deserialize_values",
+    "serialize", "deserialize", "serialize_values", "deserialize_values",
 ]
 
 _SEPARATORS = (",", ":")
@@ -50,31 +48,3 @@ def deserialize_values(values) -> list:
     """Deserialize a batch of engine JSON texts (``None`` = SQL NULL)."""
     return [None if v is None else deserialize(v) for v in values]
 
-
-def is_serialized(value: Any) -> bool:
-    """Heuristically detect whether ``value`` is serialized JSON text."""
-    if not isinstance(value, str) or not value:
-        return False
-    head = value[0]
-    return (
-        head in "[{\""
-        or value in ("null", "true", "false")
-        # Not RFC 8259, but ``serialize`` emits them (json.dumps defaults
-        # to allow_nan=True) and ``deserialize`` reads them back, so the
-        # detector must round-trip this module's own output.
-        or value in ("NaN", "Infinity", "-Infinity")
-        or _looks_numeric(value)
-    )
-
-
-#: A JSON number per RFC 8259 — not Python ``float()``, which also
-#: accepts "nan", "inf", "1_0", "  1", and similar non-JSON spellings
-#: (and rejects-by-exception junk like "-", "+", "1e" only after paying
-#: for the raise).
-_JSON_NUMBER = re.compile(
-    r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\Z"
-)
-
-
-def _looks_numeric(value: str) -> bool:
-    return _JSON_NUMBER.match(value) is not None

@@ -2,7 +2,9 @@
 
 The engine supports a compact set of SQL types plus a ``JSON`` type used to
 store complex Python values (lists, dictionaries, nested structures) the way
-most databases do — as serialized JSON text (paper section 4.2.4).
+most databases do — as serialized JSON text (paper section 4.2.4).  A
+``JSON`` value in the engine is always that text (a ``str``) or NULL:
+:func:`coerce` serializes any other value on its way in.
 
 A :class:`SqlType` knows how to
 
@@ -101,7 +103,8 @@ def coerce(value: Any, sql_type: SqlType) -> Any:
 
     ``None`` always passes through (SQL NULL).  Numeric widening
     (INT -> FLOAT) is allowed; lossy coercions raise
-    :class:`TypeMismatchError`.
+    :class:`TypeMismatchError`.  JSON takes a ``str`` as serialized text
+    as it is and serializes a list, dict, tuple or scalar.
     """
     if value is None:
         return None
@@ -130,8 +133,12 @@ def coerce(value: Any, sql_type: SqlType) -> Any:
         if isinstance(value, int) and value in (0, 1):
             return bool(value)
     elif sql_type is SqlType.JSON:
-        if isinstance(value, (list, dict, tuple, str, int, float, bool)):
-            return list(value) if isinstance(value, tuple) else value
+        if isinstance(value, str):  # already serialized text
+            return value
+        if isinstance(value, (list, dict, tuple, int, float, bool)):
+            from .storage.serde import serialize  # storage imports this module
+
+            return serialize(value)
     raise TypeMismatchError(
         f"cannot coerce {type(value).__name__} value {value!r} to {sql_type}"
     )

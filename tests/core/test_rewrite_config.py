@@ -181,6 +181,10 @@ REMOVED_BOUNDARY_NAMES = (
 REMOVED_WRAPPER_NAMES = (
     "scalar_batch_func", "expand_batch_func", "morsel_safe", "batch_udf",
 )
+#: The raw-JSON key machinery: a JSON column holds serialized text, so
+#: its keys hash and compare as text.  Matched by qualified name, so
+#: other uses of the word "frozen" stay legal.
+REMOVED_JSON_KEY_NAMES = ("keys.frozen", "keys.hashable", "is_serialized")
 ADAPTER_FAMILY = (
     MiniDbAdapter, RowStoreAdapter, TupleDbAdapter, DuckDbLikeAdapter,
     ParallelDbAdapter,
@@ -239,6 +243,17 @@ class TestKnobRatchet:
         for name in REMOVED_ADAPTER_FORWARDERS:
             stale = re.search(rf"\w+Adapter\([^)]*\b{name}\b", text)
             assert stale is None, f"{doc} still passes {name!r} to an adapter"
+        for name in REMOVED_JSON_KEY_NAMES:
+            stale = re.search(rf"\b{re.escape(name)}\b", text)
+            assert stale is None, f"{doc} still documents {name!r}"
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [("repro.engine.keys", "frozen"), ("repro.engine.keys", "hashable"),
+         ("repro.storage.serde", "is_serialized")],
+    )
+    def test_removed_json_key_names_stay_deleted(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
 
 
 class TestBoundaryRatchet:

@@ -20,6 +20,12 @@ mini engines and stdlib ``sqlite3`` semantics:
 
 Table-UDF cases exercise the five engine adapters only — sqlite has no
 table-valued Python UDFs — and are marked ``oracle_ok=False``.
+
+A second, JSON table (:func:`make_json_table`) is loaded from raw mixed
+values — numbers, booleans, lists, dicts, tuples, NULL and already
+serialized text — and the fixed :data:`JSON_QUERIES` run over it: a
+JSON column holds serialized text, so every lane and the sqlite oracle
+key, concatenate and decode the same text.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from repro.udf import aggregate_udf, scalar_udf, table_udf
 __all__ = [
     "DIFF_UDFS", "ORACLE_UDFS", "QuerySpec", "DiffCase",
     "make_table", "make_case", "normalize", "repro_snippet",
-    "CHUNK_SIZE", "TABLE_NAME",
+    "CHUNK_SIZE", "TABLE_NAME", "JSON_QUERIES", "make_json_case",
 ]
 
 #: Consecutive seeds in one chunk share the same generated table, so the
@@ -157,15 +163,20 @@ def d_words(inp_datagen):
             yield (token, len(token))
 
 
+@scalar_udf
+def d_jlen(j: list) -> int:
+    return len(j) if isinstance(j, (list, dict, str)) else -1
+
+
 DIFF_UDFS = [
     d_add7, d_mul3, d_neg, d_clip10, d_lower, d_rev, d_first, d_len,
-    d_cnt, d_icnt, d_lensum, d_imax, d_tokens, d_words,
+    d_cnt, d_icnt, d_lensum, d_imax, d_tokens, d_words, d_jlen,
 ]
 
 #: The subset registrable on stdlib sqlite3 (no table-valued UDFs).
 ORACLE_UDFS = [
     d_add7, d_mul3, d_neg, d_clip10, d_lower, d_rev, d_first, d_len,
-    d_cnt, d_icnt, d_lensum, d_imax,
+    d_cnt, d_icnt, d_lensum, d_imax, d_jlen,
 ]
 
 _INT_UDFS = ("d_add7", "d_mul3", "d_neg", "d_clip10")
@@ -212,6 +223,46 @@ def make_table(chunk_seed: int) -> Table:
             ("txt", SqlType.TEXT),
         ],
         rows,
+    )
+
+
+JSON_TABLE_NAME = "jdata"
+
+#: Raw values for the JSON table.  Several pairs are equal in Python but
+#: not as text (``1``/``1.0``/``True``, ``[1, 2]``/``[1.0, 2]``, two
+#: key orders), and the text entries equal other values' serialization.
+_JSON_VALUES = (
+    1, 1.0, True, False, 0, [1, 2], [1.0, 2], (1, 2), [], {},
+    {"a": 1, "b": [2]}, {"b": [2], "a": 1}, ["x"], None, None,
+    "[1,2]", '"x"', "true", '{"a":1,"b":[2]}',
+)
+
+#: Statements over the JSON table: text concatenation, every hashing
+#: operator, and a UDF that decodes the text.
+JSON_QUERIES = (
+    f"SELECT id, j || 'x' AS c FROM {JSON_TABLE_NAME}",
+    f"SELECT DISTINCT j FROM {JSON_TABLE_NAME}",
+    f"SELECT j, count(*) AS n FROM {JSON_TABLE_NAME} GROUP BY j",
+    f"SELECT a.id AS l, b.id AS r FROM {JSON_TABLE_NAME} AS a "
+    f"JOIN {JSON_TABLE_NAME} AS b ON a.j = b.j",
+    f"SELECT j FROM {JSON_TABLE_NAME} WHERE id < 10 "
+    f"UNION SELECT j FROM {JSON_TABLE_NAME} WHERE id >= 10",
+    f"SELECT id, d_jlen(j) AS n FROM {JSON_TABLE_NAME}",
+)
+
+
+def make_json_table(seed: int) -> Table:
+    """Every raw value of :data:`_JSON_VALUES` plus a few repeats, in
+    a seeded order; drawn from an RNG of its own, so :func:`make_table`
+    is untouched."""
+    rng = random.Random(0x750E ^ seed)
+    values = list(_JSON_VALUES) + [
+        rng.choice(_JSON_VALUES) for _ in range(rng.randint(4, 12))
+    ]
+    rng.shuffle(values)
+    return Table.from_rows(
+        JSON_TABLE_NAME, [("id", SqlType.INT), ("j", SqlType.JSON)],
+        [(i, value) for i, value in enumerate(values, 1)],
     )
 
 
@@ -439,6 +490,22 @@ def _table_query(rng: random.Random) -> QuerySpec:
     items = ("id", f"{udf}(txt) AS {out_cols[0]}")
     where = _predicate(rng, 1) if rng.random() < 0.5 else None
     return QuerySpec("table_sel", items, where=where)
+
+
+@dataclass(frozen=True)
+class FixedQuery:
+    """A hand-written statement; the minimizer does not shrink it."""
+
+    text: str
+    shape: str = "fixed"
+
+    def sql(self) -> str:
+        return self.text
+
+
+def make_json_case(seed: int, sql: str) -> DiffCase:
+    """One of :data:`JSON_QUERIES` over the JSON table of ``seed``."""
+    return DiffCase(seed, make_json_table(seed), FixedQuery(sql))
 
 
 def make_case(seed: int) -> DiffCase:

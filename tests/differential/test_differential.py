@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from .generator import make_case, repro_snippet
+from .generator import JSON_QUERIES, make_case, make_json_case, repro_snippet
 from .minimizer import minimize
 from .runner import DifferentialRunner
 
@@ -88,6 +88,19 @@ def test_differential_with_process_isolation():
     finally:
         runner.close()
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("sql", JSON_QUERIES)
+def test_json_table_agrees(diff_runner, sql):
+    """Raw mixed JSON values load as text: every lane and the sqlite
+    oracle give the same rows."""
+    for seed in range(3):
+        mismatch = diff_runner.check(make_json_case(seed, sql))
+        if mismatch is not None:
+            detail = "\n".join(
+                f"  {name}: {rows}" for name, rows in mismatch.results.items()
+            )
+            pytest.fail(f"{mismatch.description}\n{detail}", pytrace=False)
 
 
 def test_qfusor_lanes_reach_the_prepared_tiers(diff_runner):

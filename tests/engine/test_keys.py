@@ -461,15 +461,6 @@ class TestDictionaryPathFires:
             _run("spy(s)", col)
         assert calls == ["a", "b"]
 
-    def test_unhashable_json_stays_per_row(self):
-        col = Column("j", JSON, [[1], [1, 2]] * 3)
-        out = compile(
-            parse_expression("length(j)"), (Field("j", JSON, "t"),),
-            FunctionResolver(),
-        )([col], len(col))
-        assert out.to_list() == [1, 2] * 3
-        assert col.dictionary(compute=False) is None
-
     def test_high_cardinality_stays_per_row(self):
         col = Column("s", TEXT, [str(i) for i in range(10)])
         _run("upper(s)", col)
