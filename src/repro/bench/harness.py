@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..baselines import (
     PandasLike, PySparkLike, TuplexLike, UdoLike, WeldLike, programs,
@@ -21,19 +21,12 @@ from ..engines import (
     DuckDbLikeAdapter, MiniDbAdapter, ParallelDbAdapter, RowStoreAdapter,
     TupleDbAdapter,
 )
-from ..obs import QueryReport
-from ..obs import tracer as obs_tracer
 from ..workloads import udfbench, udo_wl, weld_wl, zillow
 
 __all__ = [
     "SystemUnderTest", "build_engine_systems", "build_pipeline_systems",
     "time_call", "bench_scale", "ALL_SQL", "setup_adapter",
-    "stage_breakdown", "STAGE_KEYS",
 ]
-
-#: Stage keys every traced benchmark row reports (see
-#: :meth:`repro.obs.QueryReport.stage_seconds`).
-STAGE_KEYS = ("parse", "plan", "fuse", "jit_compile", "execute", "other")
 
 #: All benchmark queries by id.
 ALL_SQL: Dict[str, str] = {}
@@ -73,18 +66,6 @@ class SystemUnderTest:
 
     def run(self, query_id: str):
         return self._runner(query_id)
-
-    def run_traced(self, query_id: str) -> Tuple[Any, QueryReport]:
-        """Run once under a fresh trace and return (rows, QueryReport).
-
-        The report's :meth:`~repro.obs.QueryReport.stage_seconds` gives
-        the per-stage cost breakdown (parse/plan/fuse/jit/execute) that
-        figure benches annotate their bars with.  Tracing is enabled only
-        for the duration of this call.
-        """
-        with obs_tracer.trace_query(query_id, system=self.name) as trace:
-            result = self._runner(query_id)
-        return result, QueryReport.from_trace(trace)
 
 
 def _sql_system(name: str, adapter, qfusor: Optional[QFusor]) -> SystemUnderTest:
@@ -181,22 +162,3 @@ def time_call(fn: Callable[[], Any], repeats: int = 3) -> Tuple[float, Any]:
         best = min(best, elapsed)
     return best, result
 
-
-def stage_breakdown(
-    system: SystemUnderTest, query_id: str, repeats: int = 1
-) -> Dict[str, float]:
-    """Per-stage seconds for one (system, query) cell, min over repeats.
-
-    Taking the minimum per stage (rather than the breakdown of the
-    single fastest run) filters independent noise out of each stage the
-    same way best-of-N does for the total; the ``total`` key is the
-    fastest whole run, so stages may sum slightly above it.
-    """
-    best: Dict[str, float] = {}
-    for _ in range(max(repeats, 1)):
-        _, report = system.run_traced(query_id)
-        stages = report.stage_seconds()
-        for key, value in stages.items():
-            if key not in best or value < best[key]:
-                best[key] = value
-    return best

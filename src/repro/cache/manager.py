@@ -15,12 +15,11 @@ exposes.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
-from ..obs import METRICS, OBS
+from ..obs import OBS
 from ..obs import tracer as obs_tracer
 from . import fingerprint
 from .memo import UdfMemoCache
@@ -69,8 +68,7 @@ class CacheManager:
             UdfMemoCache() if config.udf_memo else None
         )
         self.results: Optional[ResultCache] = (
-            ResultCache(single_flight=config.single_flight)
-            if config.result_cache else None
+            ResultCache() if config.result_cache else None
         )
         if self.memo is not None:
             adapter.registry.memo = self.memo

@@ -46,11 +46,10 @@ class _Flight:
 class ResultCache:
     """Bounded LRU of query results plus the single-flight table."""
 
-    def __init__(self, capacity: int = 128, *, single_flight: bool = True):
+    def __init__(self, capacity: int = 128):
         self._entries = LruMap(capacity)
         self._flights: Dict[Tuple, _Flight] = {}
         self._lock = threading.Lock()
-        self.single_flight = single_flight
         #: Followers that received a leader's result without executing.
         self.shared = 0
         #: Followers that promoted to leader after a leader failure.
@@ -97,7 +96,6 @@ class ResultCache:
         """
         notify = on_event or (lambda _action: None)
         while True:
-            flight: Optional[_Flight] = None
             leader = False
             with self._lock:
                 value = self._entries.get(key, MISS)
@@ -112,14 +110,11 @@ class ResultCache:
                     METRICS.counter(
                         "repro_cache_misses_total", tier="result"
                     ).inc()
-                if not self.single_flight:
+                flight = self._flights.get(key)
+                if flight is None:
+                    flight = _Flight()
+                    self._flights[key] = flight
                     leader = True
-                else:
-                    flight = self._flights.get(key)
-                    if flight is None:
-                        flight = _Flight()
-                        self._flights[key] = flight
-                        leader = True
             if leader:
                 return self._lead(key, flight, execute, notify), "lead"
             # Follower: wait cooperatively, honouring our own governor.
@@ -145,7 +140,7 @@ class ResultCache:
     def _lead(
         self,
         key: Tuple,
-        flight: Optional[_Flight],
+        flight: _Flight,
         execute: Callable[[], Tuple[Any, bool]],
         notify: Callable[[str], None],
     ) -> Any:
@@ -157,10 +152,9 @@ class ResultCache:
             # Cancellation-safe population: nothing is cached, and the
             # flight is released so a follower can promote.
             with self._lock:
-                if flight is not None:
-                    self._flights.pop(key, None)
-                    flight.failed = True
-                    flight.done.set()
+                self._flights.pop(key, None)
+                flight.failed = True
+                flight.done.set()
             raise
         with self._lock:
             if storeable:
@@ -170,10 +164,9 @@ class ResultCache:
                     METRICS.counter(
                         "repro_cache_evictions_total", tier="result"
                     ).inc()
-            if flight is not None:
-                self._flights.pop(key, None)
-                flight.result = result
-                flight.done.set()
+            self._flights.pop(key, None)
+            flight.result = result
+            flight.done.set()
         notify("store" if storeable else "lead")
         return result
 

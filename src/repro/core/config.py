@@ -6,7 +6,7 @@ Each flag corresponds to a technique the paper evaluates separately
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 __all__ = ["QFusorConfig"]
@@ -47,18 +47,10 @@ class QFusorConfig:
     #: heuristics alone, and every statement prepared on first sight
     #: (rule 1, "fuse all").
     cost_based: bool = True
-    #: Filter-offload selectivity threshold: fuse a filter with UDFs when
-    #: it keeps at least this fraction of rows (heuristics, section 5.2.4:
-    #: "if the filter is not highly selective; e.g., it filters out less
-    #: than 20% of its input" — i.e. keeps >= 80%).
-    filter_fusion_min_keep: float = 0.0
     #: Runtime de-optimization: a fused execution that raises invalidates
     #: the trace, blocklists the section, and transparently re-executes
     #: the query through the unfused path.
     deopt: bool = True
-    #: How many queries a deopted section stays blocklisted before the
-    #: optimizer may try fusing it again.
-    deopt_cooldown: int = 4
     #: Row-level exception policy inside fused batch wrappers:
     #: ``raise`` | ``null`` | ``skip`` | ``reinterpret`` (default: replay
     #: the failed row through the interpreted per-UDF chain).
@@ -73,20 +65,6 @@ class QFusorConfig:
     #: Approximate cap on rows flowing through governed checkpoints;
     #: None disables.
     row_budget: Optional[int] = None
-    #: On a fused-path timeout attributable to a fused trace, de-optimize
-    #: and retry unfused once (when deadline slack remains).
-    timeout_deopt_retry: bool = True
-    #: Bounded admission control: max concurrently executing queries
-    #: through one QFusor; None disables the gate.
-    max_concurrent_queries: Optional[int] = None
-    #: How long an arriving query waits in the admission queue before it
-    #: is shed with AdmissionTimeoutError; None waits forever.
-    admission_timeout_s: Optional[float] = None
-    #: What an open per-UDF circuit breaker means for a query: "unfused"
-    #: (bypass fusion) or "fail_fast" (raise CircuitOpenError).  The
-    #: breakers themselves are switched on and tuned on their owner:
-    #: ``adapter.registry.breakers.configure(...)``.
-    breaker_policy: str = "unfused"
     # -- multi-tier caching subsystem (repro.cache) --------------------
     #: Plan cache: normalized-SQL fingerprint -> parsed/planned/fused
     #: pipeline; a hot query skips parse/plan/fuse entirely.
@@ -98,9 +76,6 @@ class QFusorConfig:
     #: Query result cache keyed by (SQL fingerprint, table snapshot
     #: epochs, UDF definition versions, config fingerprint).
     result_cache: bool = False
-    #: Single-flight dogpile protection: concurrent identical queries
-    #: elect one leader; the rest share its result.
-    single_flight: bool = True
     #: Cache isolation scope (the multi-tenant service sets this to the
     #: tenant id).  Folded into every plan/result cache key, so two
     #: QFusor instances that happened to share cache state could still

@@ -5,8 +5,11 @@ all prior; rather than trusting it, FO falls back on rules distilled from
 "common practices and extensive experimentation":
 
 1. fuse all fusible scalar, aggregate, and table UDFs;
-2. fuse a filter with its dependent UDF(s) if the filter is not highly
-   selective (filters out less than ~20% of its input);
+2. fuse a filter with its dependent UDF(s).  The paper fuses only a
+   filter that is not highly selective (filters out less than ~20% of
+   its input); here a cold filter always fuses, because that threshold
+   was a knob that defaulted to 0.0 and so was never applied.  A
+   cost-based replacement is open work;
 3. fuse group-by operators when possible;
 4. fuse a distinct only when highly selective (drops more than ~90%);
 5. never fuse joins and sorts — the gain is minimal.
@@ -65,8 +68,7 @@ class Heuristics:
     ) -> bool:
         """Filter + UDF fusion (an F2 case).
 
-        With statistics: the F2 inequality.  Without: the rule-based
-        threshold on the filter's selectivity.
+        With statistics: the F2 inequality.  Without: always fuse (rule 2).
         """
         if not self.config.offload_relational:
             return False
@@ -77,9 +79,7 @@ class Heuristics:
             return self.cost_model.should_offload(
                 filter_op, list(udf_ops), rel_selectivity=keep_fraction
             )
-        if keep_fraction is None:
-            keep_fraction = 0.33  # planner default
-        return keep_fraction >= self.config.filter_fusion_min_keep
+        return True
 
     # -- rule 3 ----------------------------------------------------------
 

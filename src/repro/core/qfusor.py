@@ -36,16 +36,14 @@ from ..cache.plan_cache import PlanEntry
 from ..engine.database import Database
 from ..engine.explain import explain_text
 from ..engine.plan import Field
-from ..errors import (
-    CircuitOpenError, QueryTimeoutError, ReproError, UdfRegistrationError,
-)
+from ..errors import QueryTimeoutError, ReproError, UdfRegistrationError
 from ..jit.cache import TraceCache
 from ..jit.codegen import FusedUdf
 from ..obs import METRICS, OBS
 from ..obs import tracer as obs_tracer
 from ..resilience import (
-    AdmissionGate, DeoptEvent, FusionBlocklist, QueryContext,
-    ResilienceContext, RowEvent, activate,
+    DeoptEvent, FusionBlocklist, QueryContext, ResilienceContext,
+    RowEvent, activate,
 )
 from ..resilience import governor
 from ..sql import ast_nodes as ast
@@ -180,8 +178,7 @@ class QFusor:
         self.config = config or QFusorConfig()
         self.cost_model = CostModel(engine.registry.stats)
         self.heuristics = Heuristics(
-            self.config, self.cost_model,
-            FusionBlocklist(self.config.deopt_cooldown),
+            self.config, self.cost_model, FusionBlocklist()
         )
         self.cache = TraceCache(
             self.config.trace_cache, capacity=TRACE_CACHE_CAPACITY
@@ -209,13 +206,6 @@ class QFusor:
         # QFusor can never read each other's reports.
         self._reports = threading.local()
         self._last_context: Optional[QueryContext] = None
-        # Bounded admission control (None: unlimited concurrency).
-        self.admission: Optional[AdmissionGate] = None
-        if self.config.max_concurrent_queries is not None:
-            self.admission = AdmissionGate(
-                self.config.max_concurrent_queries,
-                queue_timeout_s=self.config.admission_timeout_s,
-            )
         # Froid-style UDF-to-SQL translation, tried ahead of fusion.
         # Built only when enabled so the disabled path pays exactly one
         # ``is None`` check per UDF query and makes zero translator calls.
@@ -333,8 +323,6 @@ class QFusor:
             if trace is not None:
                 trace.root.attrs.setdefault("sql", sql_text)
             ctx = self._resolve_context(context, timeout_s, sql_text)
-            if self.admission is not None:
-                stack.enter_context(self.admission.admit())
             if ctx is not None:
                 stack.enter_context(governor.activate(ctx))
             return self._execute_pipeline(parsed, sql_text)
@@ -432,7 +420,7 @@ class QFusor:
         report.is_udf_query = True
 
         # Circuit-breaker gate: a query referencing an open-breaker UDF
-        # either fails fast or starts its walk at the floor (policy).
+        # starts its walk at the floor.
         if not self._admit_breakers(report):
             return self._walk(report, [self._floor(statement)])
 
@@ -442,12 +430,13 @@ class QFusor:
         return self._walk(report, self._ladder(parsed, report, pkey), pkey)
 
     def _admit_breakers(self, report: QFusorReport) -> bool:
-        """Apply the per-UDF circuit-breaker policy before any work.
+        """Consult the per-UDF circuit breakers before any work.
 
-        Returns False when the query must run unfused (open breaker +
-        ``unfused`` policy); raises :class:`CircuitOpenError` under the
-        ``fail_fast`` policy.  Returning True admits the normal pipeline
-        (a half-open breaker's single probe comes through here too).
+        Returns False when an open breaker refuses one of the query's
+        UDFs: the query then runs unfused, and the refused names land in
+        ``report.breaker_bypass``.  Returning True admits the normal
+        pipeline (a half-open breaker's single probe comes through here
+        too).
         """
         board = self.adapter.registry.breakers
         if not board.enabled:
@@ -455,11 +444,6 @@ class QFusor:
         refused = board.refusing(report.udfs)
         if not refused:
             return True
-        if self.config.breaker_policy == "fail_fast":
-            first = refused[0]
-            raise CircuitOpenError(
-                first, retry_in_s=board.breaker(first).retry_in_s()
-            )
         report.breaker_bypass = list(refused)
         if OBS.metrics:
             METRICS.counter("repro_breaker_bypass_total").inc()
@@ -841,7 +825,7 @@ class QFusor:
         is simply gone, so retrying would just time out again.  A
         translated statement has no UDF boundary left to blame at all.
         """
-        if not (self.config.deopt and self.config.timeout_deopt_retry):
+        if not self.config.deopt:
             return False
         if rung.name != "fused" or exc.udf_name not in rung.udfs:
             return False

@@ -358,37 +358,12 @@ class QueryBudgetExceededError(QueryInterrupt):
 
 
 class GovernanceError(ReproError):
-    """Base class for synchronous admission/breaker refusals.
+    """Base class for synchronous admission refusals.
 
     Unlike :class:`QueryInterrupt` these are ordinary exceptions: they
     are raised before any query work starts, so there is no in-flight
     state a broad handler could corrupt by swallowing them.
     """
-
-
-class AdmissionTimeoutError(GovernanceError):
-    """The admission gate's wait queue timed out (load shedding).
-
-    Carries the observed queue state at shed time so operators can tell
-    a momentary blip (short wait, shallow queue) from sustained overload
-    (long wait, deep queue) straight from the error text.
-    """
-
-    def __init__(self, message: str = "admission queue timed out", *,
-                 waited_s: "float | None" = None,
-                 max_concurrent: "int | None" = None,
-                 queue_depth: "int | None" = None):
-        detail = [message]
-        if waited_s is not None:
-            detail.append(f"after waiting {waited_s:.3g}s")
-        if queue_depth is not None:
-            detail.append(f"with {queue_depth} queued behind")
-        if max_concurrent is not None:
-            detail.append(f"(max_concurrent={max_concurrent})")
-        super().__init__(" ".join(detail))
-        self.waited_s = waited_s
-        self.max_concurrent = max_concurrent
-        self.queue_depth = queue_depth
 
 
 class ServiceError(ReproError):
@@ -477,19 +452,6 @@ class RetryBudgetExhaustedError(ServiceError):
         self.attempts = attempts
         self.elapsed_s = elapsed_s
         self.last_error = last_error
-
-
-class CircuitOpenError(GovernanceError):
-    """A per-UDF circuit breaker is open and policy is fail-fast."""
-
-    def __init__(self, udf_name: str = "?", *,
-                 retry_in_s: "float | None" = None):
-        detail = f"circuit breaker open for UDF {udf_name!r}"
-        if retry_in_s is not None:
-            detail += f" (retry in {retry_in_s:.3g}s)"
-        super().__init__(detail)
-        self.udf_name = udf_name
-        self.retry_in_s = retry_in_s
 
 
 class WorkerError(ReproError):

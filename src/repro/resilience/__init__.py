@@ -10,8 +10,8 @@ three mechanisms QFusor uses to keep that promise at runtime:
 * :mod:`~repro.resilience.blocklist` — the per-section fusion blocklist
   consulted by :mod:`repro.core.heuristics` after a de-optimization;
 * :mod:`~repro.resilience.governor` — query lifecycle governance:
-  deadlines, cooperative cancellation checkpoints, the runaway-UDF
-  watchdog, and the bounded admission gate;
+  deadlines, cooperative cancellation checkpoints, and the runaway-UDF
+  watchdog;
 * :mod:`~repro.resilience.breaker` — per-UDF sliding-window circuit
   breakers (error rate + latency percentiles);
 * :mod:`~repro.resilience.workers` — the supervised process-isolated
@@ -26,7 +26,6 @@ from .blocklist import FusionBlocklist
 from .breaker import BreakerBoard, CircuitBreaker
 from .governor import (
     WATCHDOG,
-    AdmissionGate,
     CancellationToken,
     QueryContext,
     Watchdog,
@@ -59,7 +58,6 @@ from .runtime import (
 __all__ = [
     "FAULTS",
     "WATCHDOG",
-    "AdmissionGate",
     "BreakerBoard",
     "CancellationToken",
     "CircuitBreaker",

@@ -16,11 +16,10 @@ The breaker *state machine*::
     HALF_OPEN --(probe ok)--> CLOSED
     HALF_OPEN --(probe fails)--> OPEN
 
-What an open breaker *means* is policy, decided by the caller
-(:class:`repro.core.qfusor.QFusor`): ``fail_fast`` raises
-:class:`~repro.errors.CircuitOpenError` before any work starts;
-``unfused`` bypasses fusion so the suspect UDF runs through the plain
-interpreted path (timeout de-optimization's steady-state analogue).
+The caller (:class:`repro.core.qfusor.QFusor`) decides what an open
+breaker means: the query bypasses fusion, so the suspect UDF runs
+through the plain interpreted path (timeout de-optimization's
+steady-state analogue).
 """
 
 from __future__ import annotations

@@ -40,13 +40,12 @@ import time
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import (
-    AdmissionTimeoutError,
     QueryBudgetExceededError,
     QueryCancelledError,
     QueryInterrupt,
     QueryTimeoutError,
 )
-from ..obs import DEFAULT_WAIT_BUCKETS, METRICS, OBS
+from ..obs import METRICS, OBS
 from ..obs import tracer as _obs_tracer
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "QueryContext",
     "Watchdog",
     "WATCHDOG",
-    "AdmissionGate",
     "current",
     "activate",
     "govern",
@@ -767,118 +765,3 @@ def guarded_chunks(size: int, chunk: int) -> Iterator[Tuple[int, int]]:
         yield start, stop
     if ctx is not None and size:
         ctx.charge_rows(size - (size - 1) // CHECK_STRIDE * CHECK_STRIDE)
-
-
-# ----------------------------------------------------------------------
-# Admission control
-# ----------------------------------------------------------------------
-
-
-class AdmissionGate:
-    """Bounded admission: at most ``max_concurrent`` queries execute;
-    excess arrivals wait up to ``queue_timeout_s`` then shed with
-    :class:`~repro.errors.AdmissionTimeoutError`.
-
-    Queue-wait time is first-class: every arrival — admitted *or* shed —
-    records its wait into the gate's aggregate stats and the
-    ``repro_admission_wait_seconds`` histogram, so fairness and shed
-    latency are measurable rather than inferred.  ``waiting`` counts
-    arrivals currently blocked in the queue (the live queue depth).
-    """
-
-    def __init__(self, max_concurrent: int,
-                 queue_timeout_s: Optional[float] = None):
-        self.max_concurrent = max(1, int(max_concurrent))
-        self.queue_timeout_s = queue_timeout_s
-        self._semaphore = threading.BoundedSemaphore(self.max_concurrent)
-        self._stats_lock = threading.Lock()
-        self.admitted = 0
-        self.rejected = 0
-        self.active = 0
-        self.peak_active = 0
-        self.waiting = 0
-        self.peak_waiting = 0
-        self.queue_wait_total_s = 0.0
-        self.queue_wait_count = 0
-        self.max_wait_s = 0.0
-
-    # -- stats ---------------------------------------------------------
-
-    def _note_wait_locked(self, waited_s: float) -> None:
-        self.queue_wait_total_s += waited_s
-        self.queue_wait_count += 1
-        if waited_s > self.max_wait_s:
-            self.max_wait_s = waited_s
-
-    def _observe_wait(self, waited_s: float, outcome: str) -> None:
-        if OBS.metrics:
-            METRICS.histogram(
-                "repro_admission_wait_seconds", DEFAULT_WAIT_BUCKETS,
-                outcome=outcome,
-            ).observe(waited_s)
-
-    def stats(self) -> Dict[str, float]:
-        """A point-in-time snapshot of the gate's counters and waits."""
-        with self._stats_lock:
-            count = self.queue_wait_count
-            return {
-                "max_concurrent": self.max_concurrent,
-                "admitted": self.admitted,
-                "rejected": self.rejected,
-                "active": self.active,
-                "peak_active": self.peak_active,
-                "waiting": self.waiting,
-                "peak_waiting": self.peak_waiting,
-                "queue_wait_count": count,
-                "queue_wait_total_s": self.queue_wait_total_s,
-                "queue_wait_mean_s": (
-                    self.queue_wait_total_s / count if count else 0.0
-                ),
-                "max_wait_s": self.max_wait_s,
-            }
-
-    # -- admission -----------------------------------------------------
-
-    @contextlib.contextmanager
-    def admit(self) -> Iterator[None]:
-        waited = time.monotonic()
-        with self._stats_lock:
-            self.waiting += 1
-            self.peak_waiting = max(self.peak_waiting, self.waiting)
-        try:
-            if self.queue_timeout_s is None:
-                acquired = self._semaphore.acquire()
-            else:
-                acquired = self._semaphore.acquire(
-                    timeout=self.queue_timeout_s
-                )
-        finally:
-            waited_s = time.monotonic() - waited
-            with self._stats_lock:
-                self.waiting -= 1
-                depth_behind = self.waiting
-                self._note_wait_locked(waited_s)
-        if not acquired:
-            with self._stats_lock:
-                self.rejected += 1
-            self._observe_wait(waited_s, "shed")
-            if OBS.metrics:
-                METRICS.counter("repro_admission_rejected_total").inc()
-            raise AdmissionTimeoutError(
-                waited_s=waited_s,
-                max_concurrent=self.max_concurrent,
-                queue_depth=depth_behind,
-            )
-        with self._stats_lock:
-            self.admitted += 1
-            self.active += 1
-            self.peak_active = max(self.peak_active, self.active)
-        self._observe_wait(waited_s, "admitted")
-        if OBS.tracing:
-            _obs_tracer.add_event("admission_wait", waited_s=waited_s)
-        try:
-            yield
-        finally:
-            with self._stats_lock:
-                self.active -= 1
-            self._semaphore.release()

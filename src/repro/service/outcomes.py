@@ -5,20 +5,18 @@ with a typed outcome** — never a silent drop, never a bare stack trace
 leaking scheduler internals.  :class:`QueryOutcome` is that terminal
 value: it carries the result table on success, or the classified error
 on any failure mode the stack can produce (shed, timeout, cancellation,
-budget, quarantine, worker crash, open breaker, user-code failure), plus
+budget, quarantine, worker crash, user-code failure), plus
 the timing split (queue wait vs. execution) the benchmarks and the
 overload detector feed on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import (
-    AdmissionTimeoutError,
     BatchQuarantinedError,
-    CircuitOpenError,
     QueryBudgetExceededError,
     QueryCancelledError,
     QueryTimeoutError,
@@ -39,7 +37,6 @@ TERMINAL_STATUSES = frozenset({
     "timeout",       # query deadline or per-batch UDF cap
     "cancelled",     # cancellation token fired
     "budget",        # row budget exhausted
-    "circuit_open",  # per-UDF breaker refused fail-fast
     "quarantined",   # poisoned batch, quarantine policy "fail"
     "worker_failed", # worker pool gave up (restart budget, crash storm)
     "failed",        # user code / engine error
@@ -104,7 +101,7 @@ def classify_error(exc: BaseException) -> str:
     classification itself can never raise, so a novel failure mode still
     terminates with a typed outcome.
     """
-    if isinstance(exc, (ServiceOverloadError, AdmissionTimeoutError)):
+    if isinstance(exc, ServiceOverloadError):
         return "shed"
     if isinstance(exc, QueryTimeoutError):
         return "timeout"
@@ -112,8 +109,6 @@ def classify_error(exc: BaseException) -> str:
         return "cancelled"
     if isinstance(exc, QueryBudgetExceededError):
         return "budget"
-    if isinstance(exc, CircuitOpenError):
-        return "circuit_open"
     if isinstance(exc, BatchQuarantinedError):
         return "quarantined"
     if isinstance(exc, WorkerError):

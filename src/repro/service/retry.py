@@ -18,13 +18,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
-from ..errors import (
-    AdmissionTimeoutError,
-    RetryBudgetExhaustedError,
-    ServiceOverloadError,
-)
+from ..errors import RetryBudgetExhaustedError, ServiceOverloadError
 from ..resilience.governor import cooperative_sleep
 from .outcomes import QueryOutcome
 
@@ -33,7 +29,7 @@ __all__ = ["RetryPolicy"]
 #: Exception types worth retrying: refusals that say "come back later".
 #: Everything else (timeouts, user errors, quarantines) is not transient
 #: from the client's seat and re-raising immediately is correct.
-RETRYABLE = (ServiceOverloadError, AdmissionTimeoutError)
+RETRYABLE = (ServiceOverloadError,)
 
 
 @dataclass

@@ -1,8 +1,7 @@
 """Weighted-fair admission: per-tenant queues + deficit-weighted dispatch.
 
-:class:`FairScheduler` is the service's replacement for the raw
-semaphore inside :class:`~repro.resilience.governor.AdmissionGate`.  The
-gate's FIFO is fine for one client but collapses under multi-tenant
+:class:`FairScheduler` is the service's admission control.  A single
+FIFO semaphore is fine for one client but collapses under multi-tenant
 load: a tenant spraying cheap queries monopolizes the semaphore's wake
 order and starves everyone else.  Here every tenant gets its **own
 queue**, and free slots are handed out by **deficit round robin** (DRR)
@@ -16,11 +15,11 @@ within the highest non-empty priority lane:
 * lanes are strict-priority: "high" drains before "normal" before
   "low", and within a lane DRR preserves the weight ratios.
 
-The class subclasses :class:`AdmissionGate` so the whole stats surface
-(admitted/rejected/active/waiting/wait aggregates, the
-``repro_admission_wait_seconds`` histogram) stays one vocabulary across
-the single-process gate and the service scheduler; the inherited
-semaphore is simply unused — dispatch is event-per-ticket.
+Dispatch is event-per-ticket.  Queue-wait time is first-class: every
+arrival that enqueues — admitted *or* shed — records its wait into the
+aggregate :meth:`FairScheduler.stats` and the
+``repro_admission_wait_seconds`` histogram, so fairness and shed latency
+are measurable rather than inferred.
 
 Shedding is typed and immediate where possible: a full global queue or
 full per-tenant queue refuses at the door with
@@ -41,8 +40,7 @@ from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional
 
 from ..errors import ServiceOverloadError, UnknownTenantError
-from ..obs import METRICS, OBS
-from ..resilience.governor import AdmissionGate
+from ..obs import DEFAULT_WAIT_BUCKETS, METRICS, OBS
 from .tenancy import LANES, TenantQuota
 
 __all__ = ["FairScheduler"]
@@ -87,7 +85,7 @@ class _TenantLane:
         )
 
 
-class FairScheduler(AdmissionGate):
+class FairScheduler:
     """Per-tenant weighted-fair admission with priority lanes."""
 
     def __init__(
@@ -97,10 +95,21 @@ class FairScheduler(AdmissionGate):
         queue_timeout_s: Optional[float] = None,
         max_queue_depth: Optional[int] = None,
     ):
-        super().__init__(capacity, queue_timeout_s)
-        # One lock for scheduler state AND the inherited stat counters,
-        # so AdmissionGate.stats() snapshots stay coherent here too.
-        self._lock = self._stats_lock
+        self.max_concurrent = max(1, int(capacity))
+        self.queue_timeout_s = queue_timeout_s
+        # One lock for scheduler state and the stat counters, so stats()
+        # snapshots stay coherent.
+        self._lock = threading.Lock()
+        self.admitted = 0
+        self.rejected = 0
+        self.active = 0
+        self.peak_active = 0
+        #: Arrivals currently blocked in a queue (the live queue depth).
+        self.waiting = 0
+        self.peak_waiting = 0
+        self.queue_wait_total_s = 0.0
+        self.queue_wait_count = 0
+        self.max_wait_s = 0.0
         self._tenants: Dict[str, _TenantLane] = {}
         #: Registration-ordered tenant ids per lane (the DRR rotation).
         self._lane_order: Dict[str, List[str]] = {lane: [] for lane in LANES}
@@ -285,10 +294,8 @@ class FairScheduler(AdmissionGate):
             self._dispatch_locked()
 
     @contextlib.contextmanager
-    def admit(self, tenant_id: Optional[str] = None) -> Iterator[float]:
+    def admit(self, tenant_id: str) -> Iterator[float]:
         """Context-managed acquire/release; yields the queue wait."""
-        if tenant_id is None:
-            raise TypeError("FairScheduler.admit requires a tenant_id")
         waited_s = self.acquire(tenant_id)
         start = time.monotonic()
         try:
@@ -297,6 +304,39 @@ class FairScheduler(AdmissionGate):
             self.release(tenant_id, time.monotonic() - start)
 
     # -- observability -------------------------------------------------
+
+    def _note_wait_locked(self, waited_s: float) -> None:
+        self.queue_wait_total_s += waited_s
+        self.queue_wait_count += 1
+        if waited_s > self.max_wait_s:
+            self.max_wait_s = waited_s
+
+    def _observe_wait(self, waited_s: float, outcome: str) -> None:
+        if OBS.metrics:
+            METRICS.histogram(
+                "repro_admission_wait_seconds", DEFAULT_WAIT_BUCKETS,
+                outcome=outcome,
+            ).observe(waited_s)
+
+    def stats(self) -> Dict[str, float]:
+        """A point-in-time snapshot of the counters and queue waits."""
+        with self._lock:
+            count = self.queue_wait_count
+            return {
+                "max_concurrent": self.max_concurrent,
+                "admitted": self.admitted,
+                "rejected": self.rejected,
+                "active": self.active,
+                "peak_active": self.peak_active,
+                "waiting": self.waiting,
+                "peak_waiting": self.peak_waiting,
+                "queue_wait_count": count,
+                "queue_wait_total_s": self.queue_wait_total_s,
+                "queue_wait_mean_s": (
+                    self.queue_wait_total_s / count if count else 0.0
+                ),
+                "max_wait_s": self.max_wait_s,
+            }
 
     def _shed_metrics(self, tenant_id: str, reason: str) -> None:
         if OBS.metrics:

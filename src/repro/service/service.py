@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
 from ..errors import (
-    AdmissionTimeoutError,
     CheckpointError,
     QueryInterrupt,
     RecoveryError,
@@ -509,7 +508,7 @@ class QueryService:
             return self._shed_outcome(tenant_id, sql, decision)
         try:
             wait_s = self.scheduler.acquire(tenant_id)
-        except (ServiceOverloadError, AdmissionTimeoutError) as exc:
+        except ServiceOverloadError as exc:
             return self._finish(
                 QueryOutcome(
                     tenant=tenant_id, sql=sql, status="shed", error=exc,

@@ -162,25 +162,4 @@ class TestSingleFlight:
         assert cache.promotions >= 1
         assert len(order) == 2
 
-    def test_single_flight_disabled_runs_everyone(self):
-        cache = ResultCache(capacity=4, single_flight=False)
-        executions = []
-        barrier = threading.Barrier(3, timeout=5.0)
-
-        def execute():
-            barrier.wait()
-            executions.append(1)
-            return "rows", True
-
-        threads = [
-            threading.Thread(
-                target=lambda: cache.get_or_execute(("k",), execute)
-            )
-            for _ in range(3)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(5.0)
-        assert len(executions) == 3
         assert cache.shared == 0

@@ -137,11 +137,12 @@ class TestHeuristics:
         config = QFusorConfig(fuse_udfs=False)
         assert not self.make(config).should_fuse_udf_chain([op()])
 
-    def test_rule2_filter_threshold(self):
-        config = QFusorConfig(filter_fusion_min_keep=0.8)
-        heuristics = self.make(config)
-        assert heuristics.should_fuse_filter(op("filter", "filter"), [op()], 0.9)
-        assert not heuristics.should_fuse_filter(op("filter", "filter"), [op()], 0.5)
+    def test_rule2_cold_filter_always_fuses(self):
+        heuristics = self.make()
+        for keep in (0.9, 0.5, 0.01, None):
+            assert heuristics.should_fuse_filter(
+                op("filter", "filter"), [op()], keep
+            ) is True
 
     def test_rule2_uses_cost_model_with_stats(self):
         stats = StatsStore()

@@ -132,15 +132,11 @@ class TestConfigProfiles:
         assert base.reorder and not variant.reorder
         assert variant.fuse_udfs  # everything else untouched
 
-    def test_filter_threshold_semantics(self):
-        config = QFusorConfig(filter_fusion_min_keep=0.8)
-        # the heuristics test covers behaviour; here the knob must exist
-        assert config.filter_fusion_min_keep == 0.8
-
 
 #: Fields that left ``QFusorConfig``: 14 forwarded to objects that own
 #: the setting (``adapter.channel``, the adapter's worker pool,
-#: ``adapter.registry.breakers``) and 8 that nothing ever varied.
+#: ``adapter.registry.breakers``), 8 that nothing ever varied, and 7
+#: that only tests set to anything but their default.
 REMOVED_KNOBS = (
     "channel_timeout", "channel_retries", "channel_backoff",
     "worker_max_batch_retries", "worker_quarantine_policy",
@@ -153,6 +149,9 @@ REMOVED_KNOBS = (
     "plan_cache_capacity", "udf_memo_capacity", "udf_memo_min_cost_s",
     "result_cache_capacity", "translate_self_check",
     "translate_max_inline_depth",
+    "filter_fusion_min_keep", "deopt_cooldown", "timeout_deopt_retry",
+    "single_flight", "max_concurrent_queries", "admission_timeout_s",
+    "breaker_policy",
 )
 
 
@@ -185,6 +184,14 @@ REMOVED_WRAPPER_NAMES = (
 #: its keys hash and compare as text.  Matched by qualified name, so
 #: other uses of the word "frozen" stay legal.
 REMOVED_JSON_KEY_NAMES = ("keys.frozen", "keys.hashable", "is_serialized")
+#: The per-QFusor admission gate and the fail-fast breaker path: the
+#: service's ``FairScheduler`` is the one admission control, and an open
+#: breaker always means "run unfused".
+REMOVED_GOVERNANCE_NAMES = (
+    "AdmissionGate", "AdmissionTimeoutError", "CircuitOpenError",
+    "fail_fast", "circuit_open",
+)
+SRC = pathlib.Path(__file__).parents[2] / "src" / "repro"
 ADAPTER_FAMILY = (
     MiniDbAdapter, RowStoreAdapter, TupleDbAdapter, DuckDbLikeAdapter,
     ParallelDbAdapter,
@@ -193,8 +200,8 @@ ADAPTER_FAMILY = (
 
 class TestKnobRatchet:
     def test_field_count_only_goes_down(self):
-        assert len(dataclasses.fields(QFusorConfig)) <= 26
-        assert len(set(REMOVED_KNOBS)) == 22
+        assert len(dataclasses.fields(QFusorConfig)) <= 19
+        assert len(set(REMOVED_KNOBS)) == 29
         with pytest.raises(TypeError):  # codegen always inlines
             QFusorConfig(inline=False)
 
@@ -204,6 +211,20 @@ class TestKnobRatchet:
         knob is a TypeError, so a stale caller finds out at once."""
         with pytest.raises(TypeError):
             QFusorConfig(**{name: 1})
+
+    def test_every_field_is_read_outside_config(self):
+        """A field nothing reads is a knob that does nothing: each one
+        must be read as an attribute (or by its quoted name) somewhere
+        in ``src/repro`` besides its own declaration."""
+        sources = "\n".join(
+            path.read_text() for path in SRC.rglob("*.py")
+            if path != SRC / "core" / "config.py"
+        )
+        for field in dataclasses.fields(QFusorConfig):
+            read = re.search(
+                rf"\.{field.name}\b|[\"']{field.name}[\"']", sources
+            )
+            assert read is not None, f"nothing reads {field.name!r}"
 
     def test_adapter_constructors_only_shrink(self):
         """The ledger builds adapters by signature inspection, so a
@@ -236,7 +257,7 @@ class TestKnobRatchet:
         text = (pathlib.Path(__file__).parents[2] / doc).read_text()
         for name in set(
             REMOVED_KNOBS + REMOVED_ADAPTER_ALIASES + REMOVED_BOUNDARY_NAMES
-            + REMOVED_WRAPPER_NAMES
+            + REMOVED_WRAPPER_NAMES + REMOVED_GOVERNANCE_NAMES
         ):
             stale = re.search(rf"\b{name}\b", text)
             assert stale is None, f"{doc} still documents {name!r}"
@@ -254,6 +275,29 @@ class TestKnobRatchet:
     )
     def test_removed_json_key_names_stay_deleted(self, module, name):
         assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [("repro.resilience", "AdmissionGate"),
+         ("repro.resilience.governor", "AdmissionGate"),
+         ("repro.errors", "AdmissionTimeoutError"),
+         ("repro.errors", "CircuitOpenError")],
+    )
+    def test_removed_governance_names_stay_deleted(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
+
+    def test_no_fail_fast_policy_or_circuit_open_status(self):
+        from repro.service.outcomes import TERMINAL_STATUSES
+        from repro.service.scheduler import FairScheduler
+
+        assert "circuit_open" not in TERMINAL_STATUSES
+        assert FairScheduler.__bases__ == (object,)
+        for path in SRC.rglob("*.py"):
+            text = path.read_text()
+            for name in REMOVED_GOVERNANCE_NAMES:
+                assert not re.search(rf"\b{name}\b", text), (
+                    f"{path.relative_to(SRC)} still names {name!r}"
+                )
 
 
 class TestBoundaryRatchet:

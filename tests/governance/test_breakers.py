@@ -1,4 +1,4 @@
-"""Per-UDF circuit breakers: state machine, fail-fast, unfused bypass."""
+"""Per-UDF circuit breakers: state machine and the unfused bypass."""
 
 import time
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import QFusor, QFusorConfig
 from repro.engines import MiniDbAdapter
-from repro.errors import CircuitOpenError, UdfExecutionError
 from repro.resilience.breaker import (
     CLOSED,
     HALF_OPEN,
@@ -17,11 +16,6 @@ from repro.resilience.breaker import (
 from repro.udf import scalar_udf
 
 from .conftest import load
-
-
-@scalar_udf
-def b_flaky(x: int) -> int:
-    raise ValueError("flaky by design")
 
 
 @scalar_udf
@@ -130,7 +124,7 @@ class TestBreakerBoard:
         assert board.refusing(["bad", "good", "unseen"]) == ["bad"]
 
 
-def breaker_config(adapter, latency_threshold_s=None, **overrides):
+def breaker_config(adapter, latency_threshold_s=None):
     """Switch the adapter's breakers on — thresholds belong to their
     owner, the registry's board — and return the QFusor config the
     breaker scenarios run under."""
@@ -142,36 +136,10 @@ def breaker_config(adapter, latency_threshold_s=None, **overrides):
         latency_threshold_s=latency_threshold_s,
         cooldown_s=60.0,  # stays open for the whole test
     )
-    return QFusorConfig(row_error_policy="raise", deopt=False, **overrides)
+    return QFusorConfig(row_error_policy="raise", deopt=False)
 
 
 class TestBreakerPolicies:
-    def trip(self, qfusor, sql, times=2):
-        for _ in range(times):
-            with pytest.raises(UdfExecutionError):
-                qfusor.execute(sql)
-
-    def test_fail_fast_raises_circuit_open_without_running(self):
-        adapter = load(MiniDbAdapter())
-        adapter.register_udf(b_flaky, replace=True)
-        qfusor = QFusor(adapter, breaker_config(adapter, breaker_policy="fail_fast"))
-        sql = "SELECT b_flaky(a) FROM numbers"
-        self.trip(qfusor, sql)
-        start = time.monotonic()
-        with pytest.raises(CircuitOpenError) as info:
-            qfusor.execute(sql)
-        assert time.monotonic() - start < 0.1  # fail fast: no execution
-        assert "b_flaky" in str(info.value)
-        assert info.value.retry_in_s is not None
-
-    def test_fail_fast_leaves_unrelated_udfs_alone(self):
-        adapter = load(MiniDbAdapter())
-        adapter.register_udf(b_flaky, replace=True)
-        qfusor = QFusor(adapter, breaker_config(adapter, breaker_policy="fail_fast"))
-        self.trip(qfusor, "SELECT b_flaky(a) FROM numbers")
-        table = qfusor.execute("SELECT g_inc(a) AS v FROM numbers")
-        assert sorted(r[0] for r in table.to_rows()) == [1, 2, 3, 4, 5, 6]
-
     def test_unfused_policy_bypasses_fusion_and_succeeds(self):
         """Trip a breaker on latency, then verify the next query runs
         through the plain (unfused) path and still returns rows."""
@@ -179,11 +147,7 @@ class TestBreakerPolicies:
         adapter.register_udf(b_sluggish, replace=True)
         qfusor = QFusor(
             adapter,
-            breaker_config(
-                adapter,
-                breaker_policy="unfused",
-                latency_threshold_s=0.001,
-            ),
+            breaker_config(adapter, latency_threshold_s=0.001),
         )
         sql = "SELECT b_sluggish(a) AS v FROM numbers"
         for _ in range(2):  # successful but slow: trips on p95 latency
@@ -193,20 +157,3 @@ class TestBreakerPolicies:
         assert sorted(r[0] for r in table.to_rows()) == [0, 1, 2, 3, 4, 5]
         assert "b_sluggish" in qfusor.last_report.breaker_bypass
 
-    def test_fail_fast_is_faster_than_waiting_out_a_timeout(self):
-        """Acceptance: after the breaker opens, queries fail without
-        waiting out the (long) query timeout."""
-        adapter = load(MiniDbAdapter())
-        adapter.register_udf(b_flaky, replace=True)
-        qfusor = QFusor(
-            adapter,
-            breaker_config(
-                adapter, breaker_policy="fail_fast", query_timeout_s=30.0
-            ),
-        )
-        sql = "SELECT b_flaky(a) FROM numbers"
-        self.trip(qfusor, sql)
-        start = time.monotonic()
-        with pytest.raises(CircuitOpenError):
-            qfusor.execute(sql)
-        assert time.monotonic() - start < 1.0

@@ -84,11 +84,7 @@ class TestRunawayUdfTermination:
         adapter = load(MiniDbAdapter())
         qfusor = QFusor(
             adapter,
-            governed_config(
-                query_timeout_s=30.0,
-                udf_batch_timeout_s=0.3,
-                timeout_deopt_retry=False,
-            ),
+            governed_config(query_timeout_s=30.0, udf_batch_timeout_s=0.3),
         )
         start = time.monotonic()
         with pytest.raises(QueryTimeoutError) as info:

@@ -129,12 +129,3 @@ class TestGovernanceEventsAttach:
             "no deopt event on trace; events=%r" % events
         )
 
-    def test_admission_wait_event_attaches(self):
-        from repro.resilience.governor import AdmissionGate
-
-        gate = AdmissionGate(max_concurrent=1)
-        with tracer.trace_query("admission-probe") as trace:
-            with gate.admit():
-                pass
-        events = QueryReport(trace).events()
-        assert any(event["name"] == "admission_wait" for event in events)

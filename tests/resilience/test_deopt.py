@@ -96,12 +96,10 @@ class TestPoisonedTraceRecovery:
 
     def test_cooldown_expiry_allows_clean_refusion(self, reference,
                                                    adapter_cls):
-        qfusor = make_qfusor(
-            adapter_cls, QFusorConfig(deopt_cooldown=2)
-        )
+        qfusor = make_qfusor(adapter_cls, QFusorConfig())
         qfusor.execute(SQL)
         poison_traces(qfusor)
-        qfusor.execute(SQL)  # deopt + blocklist (cooldown 2)
+        qfusor.execute(SQL)  # deopt + blocklist (cooldown 4)
         for _ in range(8):
             result = qfusor.execute(SQL)
             if qfusor.last_report.fused:

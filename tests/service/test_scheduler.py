@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.errors import ServiceOverloadError, UnknownTenantError
+from repro.obs import METRICS
 from repro.service import FairScheduler, TenantQuota
 
 
@@ -275,3 +277,82 @@ class TestFairness:
         h.join()
         assert outcomes == ["shed"]
         assert sched.waiting == 0
+
+
+#: The snapshot keys ``QueryService.stats()["gate"]``, the service bench
+#: and the ledger read.
+STATS_KEYS = {
+    "max_concurrent", "admitted", "rejected", "active", "peak_active",
+    "waiting", "peak_waiting", "queue_wait_count", "queue_wait_total_s",
+    "queue_wait_mean_s", "max_wait_s",
+}
+
+
+def one_tenant(queue_timeout_s=None):
+    sched = make(capacity=1, queue_timeout_s=queue_timeout_s)
+    sched.register_tenant("a", TenantQuota())
+    return sched
+
+
+class TestQueueWaitAccounting:
+    def test_stats_key_set(self):
+        assert set(one_tenant().stats()) == STATS_KEYS
+
+    def test_uncontended_admission_records_a_near_zero_wait(self):
+        sched = one_tenant()
+        with sched.admit("a"):
+            pass
+        stats = sched.stats()
+        assert stats["queue_wait_count"] == 1
+        assert 0.0 <= stats["queue_wait_mean_s"] < 0.1
+        assert stats["max_wait_s"] < 0.1
+
+    def test_queued_wait_lands_in_the_aggregates(self):
+        sched = one_tenant(queue_timeout_s=5.0)
+        entered = threading.Event()
+
+        def holder():
+            with sched.admit("a"):
+                entered.set()
+                time.sleep(0.1)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        entered.wait(2.0)
+        with sched.admit("a"):
+            pass
+        thread.join()
+        stats = sched.stats()
+        # Both the holder (no wait) and the waiter (~100ms) are counted.
+        assert stats["queue_wait_count"] == 2
+        assert stats["queue_wait_total_s"] >= 0.04
+        assert stats["max_wait_s"] >= 0.04
+        assert stats["peak_waiting"] >= 1
+        assert stats["waiting"] == 0
+
+    def test_shed_arrival_still_records_its_wait(self):
+        sched = one_tenant(queue_timeout_s=0.05)
+        with sched.admit("a"):
+            with pytest.raises(ServiceOverloadError):
+                sched.acquire("a")
+        stats = sched.stats()
+        # Shed arrivals are not invisible: their queue time is part of
+        # the wait distribution operators reason about.
+        assert stats["queue_wait_count"] == 2
+        assert stats["max_wait_s"] >= 0.04
+        assert stats["rejected"] == 1
+
+    def test_wait_histogram_labelled_by_outcome(self):
+        obs.enable(metrics=True)
+        try:
+            METRICS.reset()
+            sched = one_tenant(queue_timeout_s=0.05)
+            with sched.admit("a"):
+                with pytest.raises(ServiceOverloadError):
+                    sched.acquire("a")
+            hists = METRICS.snapshot()["histograms"]
+            assert "repro_admission_wait_seconds{outcome=admitted}" in hists
+            assert "repro_admission_wait_seconds{outcome=shed}" in hists
+        finally:
+            obs.disable()
+            METRICS.reset()
