@@ -1,4 +1,4 @@
-"""Batch-at-a-time scalar UDF kernels over typed buffers.
+"""Batch-at-a-time UDF kernels over typed buffers.
 
 The interpreted scalar path pays four boundary conversions *per value*
 (engine→C, C→Python, Python→C, C→engine) plus a per-value ``coerce`` when
@@ -29,17 +29,33 @@ deduplicated dictionary for the next operator (``factorize`` takes its
 codes).  The dictionary holds only values its rows hold, so the values
 are a subset of the calls the row loop would make.
 
+**Table UDFs.**  :func:`table_batch` runs a table UDF's relation- or
+expand-mode batch the same way: each input column crosses once, the
+raw rows the UDF yields are collected, and each output column crosses
+back once.  Relation mode hands ``func(rows, *const_args)`` a generator
+over all input rows.  Expand mode drives a fused stream trace (one with
+a ``table_expand`` entry) once over all rows: its loop yields a row's
+outputs before it pulls the next row, so each output's lineage is the
+index of the last input row pulled, and a ``DistinctStage`` set spans
+the batch exactly as in the trace's own loop.  Any other table UDF (a
+user UDF, a TF8 trace) is called as ``func(iter([row]), *const_args)``
+once per row, as its wrapper does.  Output field ``j`` of a yielded row
+is read as ``r[j]``: a short row raises (and so deopts), a long row's
+extra fields are ignored.
+
 Fallback ladder: anything the kernel cannot vouch for — armed fault
 injection, a UDF body raising (on a row or on a distinct value), an
-untrusted result type — returns ``None`` and the caller re-executes the
-whole batch on the classic per-row path, which owns row-error policies
-and fault semantics.  The kernel is a pure fast path; it never changes
+untrusted result type, a result that does not serialize — returns
+``None`` and the caller re-executes the whole batch on the classic
+per-row path, which owns coercion, row-error policies, reinterpret
+replays and fault semantics.  The kernel is a pure fast path; it never changes
 results or error behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from itertools import chain, repeat
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.keys import encode_objects
 from ..errors import QueryInterrupt
@@ -53,7 +69,10 @@ from ..types import SqlType
 from ..udf import boundary
 from ..udf.definition import UdfDefinition, UdfKind
 
-__all__ = ["eligible", "scalar_batch", "aggregate_eligible", "aggregate_batch"]
+__all__ = [
+    "eligible", "scalar_batch", "table_eligible", "table_batch",
+    "aggregate_eligible", "aggregate_batch",
+]
 
 _OBJECT_TYPES = (SqlType.TEXT, SqlType.JSON)
 
@@ -163,6 +182,102 @@ def _map_batch(
     return boundary.python_batch_to_column(
         definition.name, definition.signature.return_types[0], out
     )
+
+
+# ----------------------------------------------------------------------
+# Table UDFs
+# ----------------------------------------------------------------------
+
+
+def table_eligible(definition: UdfDefinition) -> bool:
+    return definition.kind is UdfKind.TABLE and not _FAULTS.armed
+
+
+def _pull(loaded: Sequence[List[Any]], size: int, chunk: int,
+          at: List[int]) -> Iterator[Tuple]:
+    """The input rows as tuples, with a governance checkpoint every
+    ``chunk`` rows; ``at[0]`` holds the index of the last row pulled."""
+    for start in range(0, size, chunk):
+        checkpoint()
+        stop = min(start + chunk, size)
+        rows = (
+            zip(*[col[start:stop] for col in loaded]) if loaded
+            else repeat((), stop - start)
+        )
+        for at[0], row in enumerate(rows, start):
+            yield row
+
+
+def _drain(out_rows: Iterator[Any], n_out: int, at: List[int],
+           lineage: List[int]) -> List[List[Any]]:
+    """Field ``j < n_out`` of every row ``out_rows`` yields, as one list
+    per field, and onto ``lineage`` the input row ``at[0]`` each came
+    from.  Rows are not kept: a batch of live tuples would wake the
+    cycle collector over the whole heap."""
+    fields: List[List[Any]] = [[] for _ in range(n_out)]
+    mark = lineage.append
+    if n_out == 1:
+        add = fields[0].append
+        for r in out_rows:
+            add(r[0])
+            mark(at[0])
+    else:
+        adds = [(field.append, j) for j, field in enumerate(fields)]
+        for r in out_rows:
+            for add, j in adds:
+                add(r[j])
+            mark(at[0])
+    return fields
+
+
+def table_batch(
+    definition: UdfDefinition,
+    inputs: Sequence[Column],
+    size: int,
+    const_args: Sequence[Any],
+    expand: bool,
+    chunk: int = 4096,
+) -> Optional[Tuple[Optional[List[int]], List[Column]]]:
+    """Run one relation- or expand-mode table batch on the kernel path
+    (see the module docstring).
+
+    Returns ``(lineage, columns)`` — ``lineage`` is ``None`` in relation
+    mode — or ``None`` when the kernel must deopt.  Governed interrupts
+    propagate.
+    """
+    func = definition.func
+    trace = expand and "table_expand" in definition.entries
+    lineage: List[int] = []
+    try:
+        loaded = [boundary.column_to_python_batch(col) for col in inputs]
+        at = [0]
+        rows = _pull(loaded, size, chunk, at)
+        if not expand:
+            out_rows = func(rows, *const_args)
+        elif trace:
+            out_rows = func(rows)
+        else:
+            out_rows = chain.from_iterable(
+                func(iter([row]), *const_args) for row in rows
+            )
+        fields = _drain(
+            out_rows, len(definition.signature.return_types), at, lineage
+        )
+    except QueryInterrupt:
+        raise
+    except Exception:
+        return None
+    columns = []
+    for name, sql_type, values in zip(
+        definition.out_columns, definition.signature.return_types, fields
+    ):
+        column = boundary.python_batch_to_column(name, sql_type, values)
+        if column is None:
+            return None
+        columns.append(column)
+    if trace and OBS.metrics:
+        _record_fused_batch(definition.name, size)
+    return (lineage if expand else None), columns
 
 
 # ----------------------------------------------------------------------

@@ -257,6 +257,8 @@ class VectorExecutor:
         lineage, out_columns = registered.call_table_expand(
             arg_columns, size, node.const_args
         )
+        # One conversion for every passthrough gather.
+        lineage = np.asarray(lineage, dtype=np.int64)
         pass_columns = [
             evaluator.evaluate(item.expr, columns, size, item.name).take(lineage)
             for item in node.passthrough

@@ -799,13 +799,14 @@ class _Generator:
                     with builder.block("except Exception as _exc:"):
                         # Roll back partial outputs of the failed row
                         # (lineage is non-decreasing, so its tail holds
-                        # exactly this row's entries).
+                        # exactly this row's entries; a conversion that
+                        # raised left its outputs shorter than lineage).
                         with builder.block(
                             "while lineage and lineage[-1] == _idx:"
                         ):
                             builder.line("lineage.pop()")
-                            for i in range(n_out):
-                                builder.line(f"_o{i}.pop()")
+                        for i in range(n_out):
+                            builder.line(f"del _o{i}[len(lineage):]")
                         builder.line(
                             f"_rres = _rt_expand_row_error(_NAME, _policy, "
                             f"_exc, _idx, (lambda _i=_idx: "

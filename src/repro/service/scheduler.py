@@ -217,8 +217,7 @@ class FairScheduler:
 
     # -- public admission ----------------------------------------------
 
-    def acquire(self, tenant_id: str,
-                timeout_s: Optional[float] = None) -> float:
+    def acquire(self, tenant_id: str) -> float:
         """Block until this tenant's turn; returns the queue wait (s).
 
         Raises :class:`ServiceOverloadError` when the ticket sheds —
@@ -251,8 +250,7 @@ class FairScheduler:
             self.waiting += 1
             self.peak_waiting = max(self.peak_waiting, self.waiting)
             self._dispatch_locked()
-        timeout = timeout_s if timeout_s is not None else self.queue_timeout_s
-        ticket.event.wait(timeout)
+        ticket.event.wait(self.queue_timeout_s)
         waited_s = time.monotonic() - ticket.enqueued_at
         with self._lock:
             self._note_wait_locked(waited_s)

@@ -177,9 +177,10 @@ def python_batch_to_column(
 ) -> Optional[Column]:
     """One Python→engine crossing for a whole result column.
 
-    Returns ``None`` when the values fail the trusted type scan of
+    Returns ``None`` when a JSON value does not serialize or the values
+    fail the trusted type scan of
     :func:`repro.columnar.buffer.page_from_values` — the caller must
-    re-run on the classic path, whose per-value coercion owns the error
+    re-run on the classic path, whose per-value conversion owns the error
     semantics.
     """
     from ..columnar.buffer import PageTypeError, page_from_values
@@ -188,7 +189,10 @@ def python_batch_to_column(
     counters.c_to_engine += 1
     if sql_type is SqlType.JSON:
         counters.serializations += sum(1 for v in values if v is not None)
-        values = serde.serialize_values(values)
+        try:
+            values = serde.serialize_values(values)
+        except Exception:
+            return None
     try:
         return page_from_values(name, sql_type, values).to_column()
     except PageTypeError:

@@ -329,6 +329,9 @@ class RegisteredUdf:
         self, inputs: Sequence[Column], size: int, const_args: Sequence[Any] = ()
     ) -> List[Column]:
         """Run a table UDF in relation mode; returns its output columns."""
+        result = self._table_kernel(inputs, size, const_args, expand=False)
+        if result is not None:
+            return result[1]
         c_columns, elapsed = self._invoke_batch(
             "table", inputs, size,
             tuple(col.sql_type for col in inputs), tuple(const_args),
@@ -341,12 +344,45 @@ class RegisteredUdf:
         self, inputs: Sequence[Column], size: int, const_args: Sequence[Any] = ()
     ) -> Tuple[List[int], List[Column]]:
         """Run a table UDF in expand mode; returns (row lineage, columns)."""
+        result = self._table_kernel(inputs, size, const_args, expand=True)
+        if result is not None:
+            return result
         (lineage, c_columns), elapsed = self._invoke_batch(
             "table_expand", inputs, size,
             tuple(col.sql_type for col in inputs), tuple(const_args),
         )
         self._registry.stats.observe(self.name, size, len(lineage), elapsed)
         return list(lineage), self._out_columns(c_columns)
+
+    def _table_kernel(
+        self, inputs: Sequence[Column], size: int, const_args: Sequence[Any],
+        expand: bool,
+    ) -> Optional[Tuple[Optional[List[int]], List[Column]]]:
+        """One table batch on the column kernel, or ``None`` when no
+        columnar policy is attached or the kernel deopts (the caller then
+        re-runs the batch on the wrapper, which owns coercion, typed
+        errors and row-error policies)."""
+        policy = self._kernel_policy()
+        if policy is None:
+            return None
+        from ..columnar import kernels
+
+        if not kernels.table_eligible(self.definition):
+            return None
+        result, elapsed = self._guarded(
+            lambda: kernels.table_batch(
+                self.definition, inputs, size, tuple(const_args), expand,
+                chunk=policy.morsel_size,
+            ),
+            size,
+        )
+        if result is not None:
+            lineage, columns = result
+            out_rows = len(lineage) if expand else (
+                len(columns[0]) if columns else 0
+            )
+            self._registry.stats.observe(self.name, size, out_rows, elapsed)
+        return result
 
     def _out_columns(self, c_columns: Sequence[Any]) -> List[Column]:
         """A table UDF's C result buffers as engine columns."""
@@ -417,8 +453,9 @@ class UdfRegistry:
         #: round-tripping the modeled pickle channel.
         self.workers = workers
         #: Columnar-plane policy (:class:`repro.columnar.ColumnarPolicy`);
-        #: when attached, eligible scalar batches run on the
-        #: batch-at-a-time kernel path instead of the per-row wrapper.
+        #: when attached, eligible scalar, aggregate and table batches run
+        #: on the batch-at-a-time kernel path instead of the per-row
+        #: wrapper.
         self.columnar: Optional[Any] = None
         #: Per-UDF circuit breakers (disabled until ``breakers.configure``).
         self.breakers = BreakerBoard()

@@ -10,7 +10,9 @@ Its source is kept on the wrapper object for inspection, mirroring the
 paper's examples.  A fused trace compiles its own batch entries with the
 trace (``UdfDefinition.entries``); a wrapper compiles the entry of one
 call mode on the first call that needs it, in the registry's process or
-in a worker's.
+in a worker's.  With a columnar policy attached, scalar, aggregate and
+table batches run on :mod:`repro.columnar.kernels` instead, so a
+wrapper compiles there only when a kernel deopts.
 
 Semantics of the generated loops:
 
