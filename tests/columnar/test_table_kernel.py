@@ -187,6 +187,23 @@ def test_trace_lineage_and_distinct_span_the_batch(distinct):
         assert results[0] == ([0, 0, 1, 2, 3], ["a", "b", "c", None, "d"])
 
 
+@pytest.mark.parametrize("udf", ["user", "trace"])
+def test_lineage_skips_rows_that_yield_nothing(udf):
+    col = Column("v", SqlType.TEXT, ["", "a b", "", "c", ""])
+    results = []
+    for columnar in (True, False):
+        registry = UdfRegistry()
+        registered = registry.register(
+            kt_split if udf == "user" else _trace(False)
+        )
+        if columnar:
+            from repro.columnar import ColumnarPolicy
+            registry.columnar = ColumnarPolicy()
+        lineage, cols = registered.call_table_expand([col], 5)
+        results.append((lineage, cols[0].to_list()))
+    assert results[0] == results[1] == ([1, 1, 3], ["a", "b", "c"])
+
+
 def test_trace_yields_a_rows_outputs_before_pulling_the_next():
     pulled = []
 
